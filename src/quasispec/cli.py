@@ -340,7 +340,8 @@ def run(args) -> int:
                 raise ValueError("holder needs --e")
             _check_eps_floor(args)
             fit = holder_fit(args.e, v, alpha, args.theta, (args.eps_min, args.eps_max),
-                             args.points, args.tol, threads=args.threads)
+                             args.points, args.tol, threads=args.threads,
+                             depth_cap=args.depth_cap)
             header = fit.CSV_HEADER.split(",")
             write_rows(args.out, header, list(fit.csv_rows()), args.format)
             params["fitted_slope"] = fit.slope

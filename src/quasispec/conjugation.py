@@ -50,9 +50,6 @@ class BandFunction:
         return float(sum(abs(c) * math.exp(2 * math.pi * self.band * abs(k))
                          for k, c in self.coeffs.items()))
 
-    def sup_real_grid(self, n: int = 512) -> float:
-        return float(np.max(np.abs(self(np.arange(n) / n))))
-
     def __call__(self, x):
         xs = np.asarray(x)
         out = np.zeros(xs.shape, dtype=complex)
@@ -134,11 +131,6 @@ class MatFunction:
 
     def norm(self) -> float:
         return max(self.entries[i][j].norm() for i in range(2) for j in range(2))
-
-    def det_residual_on_grid(self, n: int = 512) -> float:
-        g = self.eval_grid(n)
-        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-        return float(np.max(np.abs(det - 1.0)))
 
     @classmethod
     def from_grid(cls, values: np.ndarray, band: float,
@@ -245,6 +237,10 @@ class TriangularCocycle:
     r: int
     t_hat: complex
     k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
     @property
     def delta(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import Potential
-from .weyl import m_triple
+from .weyl import DEPTH_CAP_DEFAULT, m_triple
 
 
 def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
@@ -134,11 +134,6 @@ class HolderFit:
         """Im M * eps^{1/2} along the ladder (bounded above at good energies)."""
         return self.im_M * np.sqrt(self.eps)
 
-    @property
-    def im_over_sqrt_eps(self) -> np.ndarray:
-        """Im M / eps^{1/2} companion check (bounded below at good energies)."""
-        return self.im_M / np.sqrt(self.eps)
-
     CSV_HEADER = "E,eps,w,im_M"
 
     def csv_rows(self):
@@ -148,9 +143,11 @@ class HolderFit:
 
 def holder_fit(E: float, v: Potential, alpha: float, theta: float,
                eps_range: tuple[float, float], points: int,
-               tol: float = 1e-8, threads: int = 1) -> HolderFit:
+               tol: float = 1e-8, threads: int = 1,
+               depth_cap: int = DEPTH_CAP_DEFAULT) -> HolderFit:
     """Fit the scaling exponent of ln w against ln eps on a geometric
-    eps ladder; slope ~1/2 is the Hoelder-1/2 signature at gap edges."""
+    eps ladder; slope ~1/2 is the Hoelder-1/2 signature at gap edges.
+    NoConvergence from the m-functions (``depth_cap``) propagates."""
     if points < 4:
         raise ValueError("points must be >= 4")
     lo, hi = min(eps_range), max(eps_range)
@@ -159,7 +156,7 @@ def holder_fit(E: float, v: Potential, alpha: float, theta: float,
     eps = np.geomspace(lo, hi, points)
 
     def one(e):
-        t = m_triple(complex(E, e), v, alpha, theta, tol)
+        t = m_triple(complex(E, e), v, alpha, theta, tol, depth_cap)
         return t.M.imag
 
     if threads > 1:

@@ -33,9 +33,11 @@ KKL_LOWER = 2.0 - math.sqrt(3.0)
 class PMatrix:
     """Positive matrix controlling solution growth up to length 2k.
 
-    The determinant is carried in log form from the QR accumulation;
-    the entrywise formula on ``entries`` is cancellation-prone once the
-    matrix is badly conditioned.
+    The determinant is carried in log form from the R factor of the
+    stacked odd-iterate rows (see ``_p_entries_upto``), which avoids the
+    cancellation of the entrywise formula on ``entries``.  It is not
+    exact past cond(P) ~ 1e12: the rounded rows have already lost the
+    contracting direction there, the limit ``det_via_beta_scan`` states.
     """
 
     k: int
@@ -75,54 +77,154 @@ def _herm_eigs(m: np.ndarray) -> tuple[float, float]:
     return half - disc, half + disc
 
 
+_GUARD = 1e120       # transfer-matrix entries past this raise OverflowError
+_RESCALE_EVERY = 32  # steps between power-of-two rescalings of the block totals
+
+
+def _givens(r11, r12, r22, u, w):
+    """Fold the row (u, w) into the triangular factor [[r11, r12], [0, r22]]
+    with one Givens rotation; needs r11 > 0 or u != 0."""
+    r = np.hypot(r11, u)
+    cs, sn = r11 / r, u / r
+    return r, cs * r12 + sn * w, np.hypot(r22, cs * w - sn * r12)
+
+
+def _merge_r(acc, new):
+    """TSQR merge: the R factor of the stacked pair [R_acc; R_new].
+
+    A factor is (r11, r12, r22, e), its true entries scaled by 2**-e; the
+    factor with the smaller exponent is brought to the larger one first,
+    then the two rows of R_new are folded in.  Needs r11 > 0 in one of
+    the two."""
+    r11, r12, r22, ea = acc
+    s11, s12, s22, eb = new
+    e = max(ea, eb)
+    fa, fb = math.ldexp(1.0, ea - e), math.ldexp(1.0, eb - e)
+    r = _givens(r11 * fa, r12 * fa, r22 * fa, s11 * fb, s12 * fb)
+    return (*_givens(*r, 0.0, s22 * fb), e)
+
+
 def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
     """One cumulative pass of transfer steps from phase x+alpha, sampling
     (p11, p12, p22, log_det) at each requested k.
 
-    P_(k) = G^T G for the 2k x 2 stack G of the odd-iterate rows, so its
-    determinant is computed from an incremental Givens QR of the stack:
-    det P = (r11 r22)^2 with no cancellation, where the entrywise
-    p11*p22 - p12^2 loses all digits once cond(P) passes 1/eps_mach
-    (hyperbolic energies)."""
+    P_(k) = G^T G for the 2k x 2 stack G of the odd-iterate rows of
+    A_j = T_j ... T_1, T_j = [[E - v(x + j alpha), -1], [1, 0]], and
+    det P = (r11 r22)^2 from the R factor of G: the entrywise
+    p11*p22 - p12^2 loses all digits once cond(P) passes 1/eps_mach.
+    The QR removes that cancellation but not the rounding already in the
+    rows: past cond(P_(k)) ~ 1e12 (hyperbolic energies, 4 L(E) k beyond
+    ~28) the rounded A_j have lost the contracting direction and log_det
+    can be far off -- at AMO lambda=0.5, golden alpha, E=0.7, x=0.21,
+    k=418 it reads about 790 where a 400-digit recurrence gives 433.3.
+    This is the limit ``det_via_beta_scan`` states.
+
+    The J = 2 k_max - 1 steps run as a two-level blocked scan over B
+    blocks of even length S ~ sqrt(J), so no Python loop is longer than
+    about sqrt(J):
+
+    1. block totals, vectorised across blocks and rescaled by powers of
+       two (exact) every ``_RESCALE_EVERY`` steps; the exponents are the
+       log scale;
+    2. a scalar fold of the totals gives each block's starting matrix,
+       normalised, with its exponent;
+    3. from those starts, vectorised across blocks: the in-block sums of
+       the odd iterates' A^T A, the in-block R factor of their rows
+       (Givens), the guard, and snapshots at each requested k.  Before the
+       first entry past the guard no in-block value exceeds ~2e120, so
+       this pass needs no rescaling;
+    4. a scalar pass adds the block sums and merges the R factors
+       TSQR-style (Demmel et al., arXiv:0808.2664), in log-scaled form.
+
+    Raises OverflowError at the first step j >= 2 where an entry of A_j
+    exceeds 1e120.
+    """
     ks = sorted(set(int(k) for k in ks))
+    if not ks:
+        raise ValueError("need at least one k")
     if ks[0] < 1:
         raise ValueError("k must be >= 1")
-    kmax = ks[-1]
-    es = (E - np.asarray(v((x + alpha * np.arange(1, 2 * kmax)) % 1.0), dtype=float)).tolist()
-    out = {}
-    want = set(ks)
-    a, b, c, d = es[0], -1.0, 1.0, 0.0  # A_1(x+alpha)
-    p11, p12, p22 = a * a + c * c, a * b + c * d, b * b + d * d
-    r11 = r12 = r22 = 0.0
-    for u, w in ((a, b), (c, d)):
-        if u != 0.0:
-            r = math.hypot(r11, u)
-            c1, s1 = r11 / r, u / r
-            r11, r12, w = r, c1 * r12 + s1 * w, -s1 * r12 + c1 * w
-        r22 = math.hypot(r22, w)
-    if 1 in want:
-        out[1] = (p11, p12, p22, 2.0 * (math.log(r11) + math.log(r22)))
-    for j in range(2, 2 * kmax):
-        e = es[j - 1]
-        a, c = e * a - c, a
-        b, d = e * b - d, b
-        if j % 2 == 1:
-            p11 += a * a + c * c
-            p12 += a * b + c * d
-            p22 += b * b + d * d
-            for u, w in ((a, b), (c, d)):
-                if u != 0.0:
-                    r = math.hypot(r11, u)
-                    c1, s1 = r11 / r, u / r
-                    r11, r12, w = r, c1 * r12 + s1 * w, -s1 * r12 + c1 * w
-                r22 = math.hypot(r22, w)
-            kk = (j + 1) // 2
-            if kk in want:
-                out[kk] = (p11, p12, p22, 2.0 * (math.log(r11) + math.log(r22)))
-        if max(abs(a), abs(b), abs(c), abs(d)) > 1e120:
+    J = 2 * ks[-1] - 1
+    S = 2 * max(1, round(math.sqrt(J) / 2))
+    B = -(-J // S)
+    es = np.zeros(B * S)  # steps past J are padding, never read back
+    es[:J] = E - np.asarray(v((x + alpha * np.arange(1, J + 1)) % 1.0), dtype=float)
+    steps = es.reshape(B, S).T.copy()  # steps[t, i]: step j = i S + t + 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # 1. block totals
+        a, b, c, d = np.ones(B), np.zeros(B), np.zeros(B), np.ones(B)
+        tex = np.zeros(B, dtype=np.int64)
+        for t, e in enumerate(steps):
+            a, b, c, d = e * a - c, e * b - d, a, b
+            if t % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+                _, ex = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                                            np.maximum(np.abs(c), np.abs(d))))
+                f = np.ldexp(1.0, -ex)
+                a, b, c, d = a * f, b * f, c * f, d * f
+                tex += ex
+        # 2. block starts: A_0 = I, A_{(i+1) S} = total_i A_{i S}
+        starts = [(1.0, 0.0, 0.0, 1.0)]
+        sx = [0]
+        for ta, tb, tc, td, te in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                                      tex.tolist()[:B - 1]):
+            pa, pb, pc, pd = starts[-1]
+            na, nb = ta * pa + tb * pc, ta * pb + tb * pd
+            nc, nd = tc * pa + td * pc, tc * pb + td * pd
+            _, ex = math.frexp(max(abs(na), abs(nb), abs(nc), abs(nd)))
+            f = math.ldexp(1.0, -ex)
+            starts.append((na * f, nb * f, nc * f, nd * f))
+            sx.append(sx[-1] + te + ex)
+        # 3. in-block sums, R factors, guard and snapshots
+        a, b, c, d = np.array(starts).T
+        thr = np.ldexp(_GUARD, -np.array(sx))
+        over = np.empty((S, B), dtype=bool)
+        want: dict[int, list] = {}
+        for k in ks:
+            want.setdefault((2 * k - 2) % S, []).append((k, (2 * k - 2) // S))
+        p11 = p12 = p22 = np.zeros(B)
+        snap = {}
+        for t, e in enumerate(steps):
+            a, b, c, d = e * a - c, e * b - d, a, b
+            np.greater(np.maximum(np.abs(a), np.abs(b)), thr, out=over[t])
+            if t % 2:
+                continue
+            p11 = p11 + (a * a + c * c)
+            p12 = p12 + (a * b + c * d)
+            p22 = p22 + (b * b + d * d)
+            if t == 0:  # first row into an empty factor, as _givens with r = 0
+                r11, r12, r22 = np.abs(a), np.sign(a) * b, np.where(a == 0, np.abs(b), 0.0)
+            else:
+                r11, r12, r22 = _givens(r11, r12, r22, a, b)
+            r11, r12, r22 = _givens(r11, r12, r22, c, d)
+            for k, i in want.get(t, ()):
+                snap[k] = (i, p11[i], p12[i], p22[i], r11[i], r12[i], r22[i])
+    # only the first row is checked: the second row of A_j is the first of
+    # A_{j-1}; a hit at j = 1 counts at j = 2, the first step whose A_j holds it
+    hit = over.T.ravel()[:J]
+    if hit.any():
+        step = max(int(np.argmax(hit)) + 1, 2)
+        if step <= J:
             raise OverflowError(
-                f"transfer matrices exceed 1e120 at step {j}; energy {E} looks hyperbolic"
-            )
+                f"transfer matrices exceed 1e120 at step {step}; energy {E} looks hyperbolic")
+    # 4. prefix over blocks
+    out = {}
+    q11 = q12 = q22 = 0.0
+    acc = (0.0, 0.0, 0.0, 0)
+    done = 0
+    for k in ks:
+        i, s11, s12, s22, t11, t12, t22 = snap[k]
+        for j in range(done, i):
+            two = 2 * sx[j]
+            q11 += math.ldexp(p11[j], two)
+            q12 += math.ldexp(p12[j], two)
+            q22 += math.ldexp(p22[j], two)
+            acc = _merge_r(acc, (float(r11[j]), float(r12[j]), float(r22[j]), sx[j]))
+        done = i
+        two = 2 * sx[i]
+        rk = _merge_r(acc, (float(t11), float(t12), float(t22), sx[i]))
+        out[k] = (q11 + math.ldexp(s11, two), q12 + math.ldexp(s12, two),
+                  q22 + math.ldexp(s22, two),
+                  2.0 * (math.log(rk[0]) + math.log(rk[2])) + 4.0 * rk[3] * math.log(2.0))
     return out
 
 

@@ -13,6 +13,16 @@ recursion contracts the hyperbolic metric of the half-plane for
 Im z > 0, so seed agreement within tol certifies the value without any
 Weyl-disk bookkeeping.  The depth scales like O((1/Im z) ln(1/tol)).
 
+The N steps are the Moebius action of the product of the step matrices
+[[0, -1], [1, z - v_n]].  The depth doubles from 64 until the two seeds
+agree; each new block of sites is multiplied out as a balanced tree held
+in four complex component arrays (p, q, r, s), one vectorised pass per
+level.  The first level is taken in closed form,
+[[0,-1],[1,a1]] [[0,-1],[1,a2]] = [[-1, -a2], [a1, a1 a2 - 1]], and
+every level divides each matrix by its max-abs entry, which leaves the
+Moebius action unchanged and keeps the entries finite.  Blocks are cut
+into aligned chunks of ``_CHUNK`` sites so the arrays stay in cache.
+
 ``m_minus`` is the Dirichlet m-function of the left half-line
 (-oo, -1]: reflecting n -> -n maps it onto the right half-line problem
 with site potentials v(theta - n alpha), so the same recursion applies
@@ -29,6 +39,7 @@ the choice is validated against the finite-box resolvent in the tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,6 +48,7 @@ import numpy as np
 from .cocycle import Potential
 
 DEPTH_CAP_DEFAULT = 10**7
+_CHUNK = 1 << 14  # sites per first-stage tree in _block_product
 
 
 class NoConvergence(RuntimeError):
@@ -45,8 +57,8 @@ class NoConvergence(RuntimeError):
 
 def _require_upper(z: complex, name: str = "z") -> complex:
     z = complex(z)
-    if not z.imag > 0:
-        raise ValueError(f"{name} must have strictly positive imaginary part, got {z}")
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise ValueError(f"{name} must be finite with strictly positive imaginary part, got {z}")
     return z
 
 
@@ -85,32 +97,48 @@ def M_function(m_plus_val: complex, m_minus_val: complex) -> complex:
     return out
 
 
-def _tree_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[0] @ mats[1] @ ... with per-level rescaling.
+def _rescaled(p, q, r, s):
+    """Divide each matrix [[p, q], [r, s]] by its max-abs entry; scalar
+    rescaling is invisible to the Moebius action."""
+    inv = 1.0 / np.maximum(np.maximum(np.abs(p), np.abs(q)), np.maximum(np.abs(r), np.abs(s)))
+    return p * inv, q * inv, r * inv, s * inv
 
-    Scalar rescaling is invisible to the Moebius action, so each level is
-    normalised by its max-abs entry to keep the entries finite.
+
+def _first_level(a: np.ndarray):
+    """Pairwise products of the steps [[0, -1], [1, a_n]] in closed form:
+    [[0,-1],[1,a1]] [[0,-1],[1,a2]] = [[-1, -a2], [a1, a1 a2 - 1]]."""
+    n = len(a) & ~1
+    a1, a2 = a[0:n:2], a[1:n:2]
+    level = (np.full(n // 2, -1.0 + 0j), -a2, a1, a1 * a2 - 1.0)
+    if n < len(a):  # the unpaired last step
+        level = tuple(np.append(x, y) for x, y in zip(level, (0.0, -1.0, 1.0, a[-1])))
+    return _rescaled(*level)
+
+
+def _tree(p, q, r, s):
+    """Ordered product of the matrices [[p_i, q_i], [r_i, s_i]], one
+    rescaled pairwise level at a time; returns length-1 arrays."""
+    while len(p) > 1:
+        n = len(p) & ~1
+        p1, q1, r1, s1 = p[0:n:2], q[0:n:2], r[0:n:2], s[0:n:2]
+        p2, q2, r2, s2 = p[1:n:2], q[1:n:2], r[1:n:2], s[1:n:2]
+        level = (p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2)
+        if n < len(p):
+            level = tuple(np.append(x, y[-1]) for x, y in zip(level, (p, q, r, s)))
+        p, q, r, s = _rescaled(*level)
+    return p, q, r, s
+
+
+def _block_product(z: complex, site_values, lo: int, hi: int):
+    """Product of the step matrices at sites lo..hi-1 as four complex scalars.
+
+    The sites are taken in chunks of ``_CHUNK`` aligned at ``lo``, so the
+    component arrays stay in cache; for a power-of-two block the chunk
+    roots are the subtrees of one balanced tree over the whole block.
     """
-    while len(mats) > 1:
-        half = len(mats) // 2
-        prod = mats[0:2 * half:2] @ mats[1:2 * half:2]
-        if len(mats) % 2:
-            prod = np.concatenate([prod, mats[-1:]])
-        scale = np.max(np.abs(prod).reshape(len(prod), 4), axis=1)
-        mats = prod / scale[:, None, None]
-    return mats[0]
-
-
-def _mobius(mat: np.ndarray, w: complex) -> complex:
-    return (mat[0, 0] * w + mat[0, 1]) / (mat[1, 0] * w + mat[1, 1])
-
-
-def _step_block(z: complex, vvals: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(vvals), 2, 2), dtype=complex)
-    out[:, 0, 1] = -1.0
-    out[:, 1, 0] = 1.0
-    out[:, 1, 1] = z - vvals
-    return out
+    roots = [_tree(*_first_level(z - site_values(c, min(c + _CHUNK, hi))))
+             for c in range(lo, hi, _CHUNK)]
+    return tuple(complex(x[0]) for x in _tree(*(np.concatenate(part) for part in zip(*roots))))
 
 
 def _halfline_m(z, site_values, tol, depth_cap):
@@ -122,26 +150,27 @@ def _halfline_m(z, site_values, tol, depth_cap):
     z = _require_upper(z)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    depth = 64
-    total = None
-    done = 0
+    P, Q, R, S = 1.0, 0.0, 0.0, 1.0
+    done, depth = 0, 64
     while True:
-        block = _step_block(z, site_values(done + 1, depth + 1))
-        prod = _tree_product(block)
-        total = prod if total is None else total @ prod
-        total /= np.max(np.abs(total))
-        done = depth
-        m1 = _mobius(total, 1j)
-        m2 = _mobius(total, 2j)
+        p, q, r, s = _block_product(z, site_values, done + 1, depth + 1)
+        P, Q, R, S = P * p + Q * r, P * q + Q * s, R * p + S * r, R * q + S * s
+        scale = max(abs(P), abs(Q), abs(R), abs(S))
+        P, Q, R, S = P / scale, Q / scale, R / scale, S / scale
+        m1 = (P * 1j + Q) / (R * 1j + S)
+        m2 = (P * 2j + Q) / (R * 2j + S)
         est = abs(m1 - m2)
         if est <= tol:
             return m1, est, depth
+        if not math.isfinite(est):
+            raise NoConvergence(f"m-function at z={z}: seed residual is not finite "
+                                f"at depth {depth} (non-finite potential values?)")
         if depth >= depth_cap:
             raise NoConvergence(
                 f"m-function at z={z} not seed-independent within depth cap {depth_cap} "
                 f"(residual {est:.3e}, tol {tol:.3e})"
             )
-        depth = min(2 * depth, depth_cap)
+        done, depth = depth, min(2 * depth, depth_cap)
 
 
 def m_plus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,

@@ -153,6 +153,27 @@ class TestExitCodes:
         assert manifest["error"]["code"] == "NoConvergence"
 
 
+    def test_non_finite_energy_is_2(self, tmp_path):
+        rc = main(["mfunction", "--potential", "amo", "--lambda", "0.5",
+                   "--e", "nan", "--depth-cap", "5000", "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+
+    def test_holder_honours_depth_cap(self, tmp_path):
+        rc = main(["holder", "--potential", "amo", "--lambda", "0.5", "--e", "0.0",
+                   "--eps-min", "1e-4", "--depth-cap", "5000",
+                   "--out", str(tmp_path / "h.csv")])
+        assert rc == 3
+
+    def test_zero_k_max_is_2(self, tmp_path):
+        rc = main(["subordinacy", "--e", "0.0", "--k-max", "0",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+
+    def test_zero_tx_k_is_2(self, tmp_path):
+        rc = main(["tx-oracle", "--k", "0", "--out", str(tmp_path / "tx.csv")])
+        assert rc == 2
+
+
 class TestDeterminism:
     def test_byte_identical_repeat(self, tmp_path):
         args = ["subordinacy", "--potential", "amo", "--lambda", "0.5",

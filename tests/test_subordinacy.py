@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from quasispec.arithmetic import resolve_alpha
 from quasispec.cocycle import Potential, solution
@@ -11,6 +13,7 @@ from quasispec.subordinacy import (
     KKL_LOWER,
     KKL_UPPER,
     _beta_products,
+    _p_entries_upto,
     default_k_list,
     det_via_beta_scan,
     jl_bracket_check,
@@ -62,6 +65,54 @@ class TestPMatrix:
                 eigs = np.linalg.eigvalsh(diff)
                 assert eigs.min() >= -1e-9
             prev = pm.entries
+
+
+def _mp_ladder(E, v, x, ks, dps=60):
+    """P_(k) entries and log det from the recurrence in dps-digit arithmetic,
+    on the same double-precision site energies as the kernel."""
+    J = 2 * max(ks) - 1
+    es = E - np.asarray(v((x + ALPHA * np.arange(1, J + 1)) % 1.0), dtype=float)
+    with mpmath.workdps(dps):
+        a, b, c, d = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        p11 = p12 = p22 = mpmath.mpf(0)
+        out = {}
+        for j, e in enumerate(es.tolist(), start=1):
+            a, b, c, d = e * a - c, e * b - d, a, b
+            if j % 2:
+                p11 += a * a + c * c
+                p12 += a * b + c * d
+                p22 += b * b + d * d
+                if (j + 1) // 2 in ks:
+                    out[(j + 1) // 2] = (p11, p12, p22, mpmath.log(p11 * p22 - p12 ** 2))
+    return out
+
+
+class TestLadderOracle:
+    """The blocked-scan ladder against a 60-digit recurrence.  Tolerances
+    are set from the dtype: about 2k steps of double rounding."""
+
+    KS = [1, 2, 37, 1500]  # J = 2999 runs in blocks of 54 steps; k=37 sits mid-block
+
+    @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
+    def test_matches_mpmath(self, quantile):
+        n = 2000
+        eigs = eigvalsh_tridiagonal(AMO(ALPHA * np.arange(n) % 1.0), np.ones(n - 1))
+        E = float(eigs[int(quantile * n)])  # in the AMO spectrum up to O(1/n)
+        for x in (0.0, 0.21):
+            got = _p_entries_upto(E, AMO, ALPHA, x, self.KS)
+            ref = _mp_ladder(E, AMO, x, self.KS)
+            for k in self.KS:
+                assert abs(got[k][3] - float(ref[k][3])) <= 1e-12
+                for g, r in zip(got[k][:3], ref[k][:3]):
+                    assert abs(g - float(r)) <= 1e-12 * float(abs(ref[k][0]) + abs(ref[k][2]))
+
+    def test_overflow_guard_step(self):
+        with pytest.raises(OverflowError, match="at step 318;"):
+            _p_entries_upto(2.9, AMO, ALPHA, 0.21, [418])
+
+    def test_empty_k_list(self):
+        with pytest.raises(ValueError):
+            _p_entries_upto(0.3, AMO, ALPHA, 0.0, [])
 
 
 class TestDetBetaScan:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
+from quasispec import weyl
 from quasispec.arithmetic import resolve_alpha
 from quasispec.cocycle import Potential
 from quasispec.weyl import (
@@ -169,6 +171,21 @@ class TestBoxOracles:
         ref = box_M(z, v, ALPHA, 0.31, 2000)
         assert abs(t.M - ref) / abs(ref) < 1e-6
 
+    @pytest.mark.parametrize("quantile", [0.1, 0.5])
+    def test_deep_tree_against_linear_solve(self, quantile):
+        # in-spectrum energies at eps 2e-3 need at least three doublings
+        # (depth >= 512; these run to 4096 and 8192); the boxes reach
+        # e^-40 truncation error
+        v = Potential.amo(0.5)
+        n = 2000
+        eigs = eigvalsh_tridiagonal(v(ALPHA * np.arange(n) % 1.0), np.ones(n - 1))
+        z = complex(float(eigs[int(quantile * n)]), 2e-3)
+        for m_fn, box_fn in ((m_plus, box_m_plus), (m_minus, box_m_minus)):
+            m, est, depth = m_fn(z, v, ALPHA, 0.31, 1e-10, full_output=True)
+            ref = box_fn(z, v, ALPHA, 0.31, 40000)
+            assert depth >= 512
+            assert abs(m - ref) / abs(ref) < 1e-9
+
     def test_m_minus_against_linear_solve(self):
         v = Potential.amo(0.5)
         z = complex(-0.7, 1e-2)
@@ -223,8 +240,29 @@ class TestErrors:
             m_plus(complex(0.0, 1e-7), Potential.amo(0.5), ALPHA, 0.0, 1e-12,
                    depth_cap=2000)
 
+    def test_non_finite_z_rejected(self):
+        for z in (complex(math.nan, 1e-3), complex(0.2, math.inf)):
+            with pytest.raises(ValueError):
+                m_plus(z, FREE, ALPHA, 0.0, 1e-8, depth_cap=4096)
+
+    def test_non_finite_residual_stops_at_once(self):
+        with pytest.raises(NoConvergence, match="not finite at depth 64"):
+            m_plus(complex(0.3, 1e-3), Potential.amo(0.5), ALPHA, math.nan, 1e-8,
+                   depth_cap=4096)
+
     def test_est_error_below_tol(self):
         m, est, depth = m_plus(complex(0.3, 1e-2), Potential.amo(0.5), ALPHA, 0.0,
                                1e-8, full_output=True)
         assert est <= 1e-8
         assert depth >= 64
+
+
+class TestTreeChunking:
+    def test_chunk_size_does_not_change_values(self, monkeypatch):
+        # power-of-two blocks split into aligned chunks keep the balanced
+        # tree's association, so the chunk size changes no bit of m
+        v = Potential.amo(0.5)
+        z = complex(0.1, 2e-3)
+        ref = m_plus(z, v, ALPHA, 0.4, 1e-9, full_output=True)
+        monkeypatch.setattr(weyl, "_CHUNK", 64)
+        assert m_plus(z, v, ALPHA, 0.4, 1e-9, full_output=True) == ref
