@@ -138,10 +138,16 @@ def _check_eps_floor(args):
 
 
 def _energy_grid(args) -> np.ndarray:
+    for name in ("e", "e_min", "e_max"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.e is not None:
         return np.array([args.e])
     if args.e_min is None or args.e_max is None:
         raise ValueError("need --e or both --e-min/--e-max")
+    if args.e_points < 1:
+        raise ValueError("--e-points must be >= 1")
     return np.linspace(args.e_min, args.e_max, args.e_points)
 
 
@@ -153,7 +159,8 @@ def _add_common(p, potential=True, energy=True):
     p.add_argument("--out", default=None, help="output path ('-' = stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for grid sweeps (output order is independent of it)")
+                   help="worker threads for the phases of 'ids --method phase-average' "
+                        "(output is independent of it); other commands ignore it")
     p.add_argument("--gnuplot-stub", action="store_true",
                    help="emit a ready-to-run gnuplot script next to the data file")
     p.add_argument("--depth-cap", type=int, default=10**7,
@@ -296,10 +303,8 @@ def run(args) -> int:
             grid = _energy_grid(args)
             header = ["E", "lyapunov"]
 
-            def one(E):
-                return [float(E), lyapunov(float(E), v, alpha, args.n, args.x_grid, grid=args.grid)]
-
-            rows = _maybe_parallel(one, grid, args.threads)
+            rows = [[float(E), lyapunov(float(E), v, alpha, args.n, args.x_grid, grid=args.grid)]
+                    for E in grid]
             write_rows(args.out, header, rows, args.format)
             write_manifest(args.out, cmd, params)
             if args.gnuplot_stub:
@@ -340,8 +345,7 @@ def run(args) -> int:
                 raise ValueError("holder needs --e")
             _check_eps_floor(args)
             fit = holder_fit(args.e, v, alpha, args.theta, (args.eps_min, args.eps_max),
-                             args.points, args.tol, threads=args.threads,
-                             depth_cap=args.depth_cap)
+                             args.points, args.tol, depth_cap=args.depth_cap)
             header = fit.CSV_HEADER.split(",")
             write_rows(args.out, header, list(fit.csv_rows()), args.format)
             params["fitted_slope"] = fit.slope
@@ -366,6 +370,9 @@ def run(args) -> int:
         elif cmd == "thouless":
             v = _potential_from_args(args)
             grid = _energy_grid(args)
+            if args.table_points < 2:
+                raise ValueError("--table-points must be >= 2 (the IDS table "
+                                 "needs at least one cell)")
             bound = 2.0 + v.sup_bound() + args.table_span
             table = ids(v, alpha, np.linspace(-bound, bound, args.table_points),
                         "finite_box", args.size, args.theta)
@@ -381,6 +388,8 @@ def run(args) -> int:
         elif cmd == "gaps":
             v = _potential_from_args(args)
             grid = _energy_grid(args)
+            if len(grid) < 2:
+                raise ValueError("gaps needs --e-min/--e-max with --e-points >= 2")
             table = ids(v, alpha, grid, "finite_box", args.size, args.theta)
             recs = gap_edges(table, args.plateau_tol)
             header = ["E_left", "E_right", "N_plateau"]
@@ -442,15 +451,6 @@ def run(args) -> int:
     except (RationalDetected, ValueError) as exc:
         print(f"quasispec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def _maybe_parallel(fn, items, threads):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def main(argv=None) -> int:

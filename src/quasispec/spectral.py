@@ -4,8 +4,13 @@ integrated density of states and the Thouless formula.
 The window proxy is w(eps) = 2 eps Im M(E + i eps), an exact upper
 bound for the corner measure of (E-eps, E+eps); the tool fits the
 scaling of Im M and never claims pointwise measure values.  Finite-box
-IDS uses Sturm-sequence eigenvalue counting on the symmetric
-tridiagonal truncation, O(size) per energy.
+IDS, spectrum membership and gap-edge refinement use Sturm-sequence
+eigenvalue counting on the symmetric tridiagonal truncation, O(size)
+work per energy, run as a blocked scan over sites x energies: the pivot
+maps of ~sqrt(size) blocks are folded into each block's starting pivot,
+then the pivot recurrence runs inside all blocks at once
+(``sturm_counts``).  Counting pivots is the discrete form of the
+rotation-number view of the IDS.
 """
 
 from __future__ import annotations
@@ -15,26 +20,109 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Potential
+from .cocycle import Potential, block_count, block_totals
 from .weyl import DEPTH_CAP_DEFAULT, m_triple
+
+_TINY = 1e-300  # a zero pivot is replaced by -_TINY
 
 
 def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     """Number of eigenvalues < E of tridiag(diag, offdiag=1), per E.
 
-    Standard LDL^T pivot-sign count; pivots that vanish are nudged to
-    -tiny, the usual convention for eigenvalues exactly at E.
+    Standard LDL^T pivot-sign count: d_j = (a_j - E) - 1/d_{j-1} from
+    d_{-1} = inf, and the count is the number of negative pivots; pivots
+    that vanish are nudged to -tiny, the usual convention for eigenvalues
+    exactly at E.
+
+    The N sites run as a two-level blocked scan over
+    B = min(isqrt(N), 2**12 // len(E)) blocks of S = ceil(N / B) sites
+    (``cocycle.block_count``), so no Python loop is longer than about
+    sqrt(N) and one step of every block touches at most 2**12 values:
+
+    1. the pivot map of each block is a Moebius map, the product of its
+       companion steps [[a_j - E, -1], [1, 0]] (``cocycle.block_totals``);
+    2. a fold of those maps over the blocks gives each block's starting
+       pivot, the first block starting at inf;
+    3. the pivot recurrence above, with its zero rule, runs inside all
+       blocks at once from those starts and counts the negative pivots.
+
+    When B = 1 (more than 2**11 energies, as in the IDS tables), passes
+    1-2 are empty and pass 3 is the plain site loop.
+
+    Exactness: a block's starting pivot is the pivot d_j of the previous
+    block's last site j, computed by the fold instead of the site loop.
+    Its sign is what counts for site j, and the block's pivots follow
+    from it, so an error in it acts like a perturbation of the single
+    diagonal entry a_j: the count is the exact count of a box with a few
+    diagonal entries off by rounding, and it can differ from the site
+    loop's only when E lies within rounding of an eigenvalue of the whole
+    box, where the count is decided by rounding either way.
     """
     E = np.asarray(E_grid, dtype=float)
-    count = np.zeros(E.shape, dtype=np.int64)
-    d = np.full(E.shape, np.inf)
-    tiny = 1e-300
+    shape = E.shape
+    E = E.ravel()
+    a = np.asarray(diag, dtype=float).ravel()
+    N = len(a)
+    B = block_count(N, E.size)
+    S = -(-N // B)  # block i holds sites i S .. i S + S - 1; the last may be short
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a in diag:
-            d = (a - E) - 1.0 / d
-            d = np.where(d == 0.0, -tiny, d)
-            count += d < 0
-    return count
+        d = _starting_pivots(a[:(B - 1) * S].reshape(B - 1, S), E)
+        # the last site of each block is counted by the sign of the next
+        # block's start, so the sign at a boundary and the pivots after it
+        # come from one value (see the exactness note above)
+        count = np.count_nonzero(d[1:] < 0.0, axis=0)
+        # 3. pivots and counts inside the blocks; the counts run in uint8,
+        # added into the int64 total every 255 sites
+        run = np.zeros(d.shape, dtype=np.uint8)
+        ae = np.empty_like(d)
+        mask = np.empty(d.shape, dtype=bool)
+        for t in range(S):
+            col = a[t::S]  # site t of every block
+            np.subtract(col[:, None], E, out=ae[:len(col)])
+            ae[len(col):] = np.inf  # past the end of the last block: never counted
+            np.divide(1.0, d, out=d)
+            np.subtract(ae, d, out=d)
+            np.equal(d, 0.0, out=mask)
+            if mask.any():
+                np.copyto(d, -_TINY, where=mask)
+            np.less(d, 0.0, out=mask)
+            np.add(run, mask.view(np.uint8), out=run)
+            if t % 255 == 254:
+                count += run.sum(axis=0, dtype=np.int64)
+                run.fill(0)
+        count += run.sum(axis=0, dtype=np.int64)
+        count -= np.count_nonzero(d[:B - 1] < 0.0, axis=0)
+    return count.reshape(shape)
+
+
+def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Passes 1-2 of ``sturm_counts`` from the diagonal of blocks
+    0 .. B-2 (shape (B - 1, S)): the pivot entering each of the B blocks,
+    that of the previous block's last site, shape (B, len(E))."""
+    B, S = full.shape[0] + 1, full.shape[1]
+    d = np.empty((B, E.size))
+    d[0] = np.inf
+    if B == 1:
+        return d
+    # 1. Moebius maps of blocks 0 .. B-2
+    e = np.empty((B - 1, E.size))
+
+    def rows():
+        for t in range(S):
+            np.subtract(full[:, t, None], E, out=e)
+            yield e
+
+    ta, tb, tc, td, _ = block_totals(rows(), e.shape)
+    # 2. fold: d = p / q, the pair rescaled by powers of two
+    p, q = np.ones(E.size), np.zeros(E.size)
+    for i in range(B - 1):
+        p, q = ta[i] * p + tb[i] * q, tc[i] * p + td[i] * q
+        k = np.frexp(np.maximum(np.abs(p), np.abs(q)))[1]
+        p, q = np.ldexp(p, -k), np.ldexp(q, -k)
+        d[i + 1] = p / q
+    d[d == 0.0] = -_TINY
+    d[d == -np.inf] = np.inf  # follows a zero pivot, which counts as -tiny
+    return d
 
 
 @dataclass(frozen=True)
@@ -143,7 +231,7 @@ class HolderFit:
 
 def holder_fit(E: float, v: Potential, alpha: float, theta: float,
                eps_range: tuple[float, float], points: int,
-               tol: float = 1e-8, threads: int = 1,
+               tol: float = 1e-8,
                depth_cap: int = DEPTH_CAP_DEFAULT) -> HolderFit:
     """Fit the scaling exponent of ln w against ln eps on a geometric
     eps ladder; slope ~1/2 is the Hoelder-1/2 signature at gap edges.
@@ -155,17 +243,8 @@ def holder_fit(E: float, v: Potential, alpha: float, theta: float,
         raise ValueError("eps_range must be positive")
     eps = np.geomspace(lo, hi, points)
 
-    def one(e):
-        t = m_triple(complex(E, e), v, alpha, theta, tol, depth_cap)
-        return t.M.imag
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            im = np.array(list(ex.map(one, eps)))
-    else:
-        im = np.array([one(e) for e in eps])
+    im = np.array([m_triple(complex(E, e), v, alpha, theta, tol, depth_cap).M.imag
+                   for e in eps])
     w = 2.0 * eps * im
     coef = np.polyfit(np.log(eps), np.log(w), 1)
     fitted = np.polyval(coef, np.log(eps))

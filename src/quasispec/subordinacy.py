@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import Potential, solution_norm_sq_batch
+from .cocycle import Potential, block_totals, solution_norm_sq_batch
 from .weyl import DEPTH_CAP_DEFAULT, m_plus, psi, rotate_beta
 
 JL_UPPER = 5.0 + math.sqrt(24.0)
@@ -52,7 +52,7 @@ class PMatrix:
 
     @property
     def det(self) -> float:
-        return math.exp(self.log_det)
+        return _exp(self.log_det)
 
     @property
     def smallest_eig(self) -> float:
@@ -69,16 +69,25 @@ class PMatrix:
 
 
 def _herm_eigs(m: np.ndarray) -> tuple[float, float]:
+    """Eigenvalues (low, high) of a 2x2 hermitian matrix; no entry is
+    squared, so entries up to ~1e307 do not overflow."""
     a = float(m[0, 0].real)
     d = float(m[1, 1].real)
-    b2 = abs(m[0, 1]) ** 2
-    half = 0.5 * (a + d)
-    disc = math.sqrt(max(0.25 * (a - d) ** 2 + b2, 0.0))
+    half = 0.5 * a + 0.5 * d
+    disc = math.hypot(0.5 * a - 0.5 * d, abs(m[0, 1]))
     return half - disc, half + disc
 
 
-_GUARD = 1e120       # transfer-matrix entries past this raise OverflowError
-_RESCALE_EVERY = 32  # steps between power-of-two rescalings of the block totals
+def _exp(x: float) -> float:
+    """exp(x), inf where it is past the float range (det P_(k) passes
+    1e308 long before the transfer-matrix guard trips)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+_GUARD = 1e120  # transfer-matrix entries past this raise OverflowError
 
 
 def _givens(r11, r12, r22, u, w):
@@ -124,7 +133,7 @@ def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
     about sqrt(J):
 
     1. block totals, vectorised across blocks and rescaled by powers of
-       two (exact) every ``_RESCALE_EVERY`` steps; the exponents are the
+       two (exact), from ``cocycle.block_totals``; the exponents are the
        log scale;
     2. a scalar fold of the totals gives each block's starting matrix,
        normalised, with its exponent;
@@ -152,16 +161,7 @@ def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
     steps = es.reshape(B, S).T.copy()  # steps[t, i]: step j = i S + t + 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # 1. block totals
-        a, b, c, d = np.ones(B), np.zeros(B), np.zeros(B), np.ones(B)
-        tex = np.zeros(B, dtype=np.int64)
-        for t, e in enumerate(steps):
-            a, b, c, d = e * a - c, e * b - d, a, b
-            if t % _RESCALE_EVERY == _RESCALE_EVERY - 1:
-                _, ex = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                                            np.maximum(np.abs(c), np.abs(d))))
-                f = np.ldexp(1.0, -ex)
-                a, b, c, d = a * f, b * f, c * f, d * f
-                tex += ex
+        a, b, c, d, tex = block_totals(steps, (B,))
         # 2. block starts: A_0 = I, A_{(i+1) S} = total_i A_{i S}
         starts = [(1.0, 0.0, 0.0, 1.0)]
         sx = [0]
@@ -364,7 +364,7 @@ def profile(E: float, v: Potential, alpha: float, theta: float,
         mp_val = m_plus(complex(E, eps_k), v, alpha, theta, tol, depth_cap)
         ps = psi(mp_val)
         rows.append(ProfileRow(
-            k=k, norm_P=big, det_P=math.exp(logdet), eps_k=eps_k, psi_mplus=ps,
+            k=k, norm_P=big, det_P=_exp(logdet), eps_k=eps_k, psi_mplus=ps,
             ratio_jl=ps / (2.0 * eps_k * big),
             ratio_blabl=math.exp(4.0 * math.log(big) - 3.0 * logdet),
         ))

@@ -158,6 +158,36 @@ class TestExitCodes:
                    "--e", "nan", "--depth-cap", "5000", "--out", str(tmp_path / "m.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ids", "--e-min", "nan", "--e-max", "1", "--size", "200"],
+        ["gaps", "--e-min", "-3", "--e-max", "inf", "--size", "200"],
+        ["lyapunov", "--e", "nan", "--n", "100"],
+        ["thouless", "--e=-inf", "--n", "100", "--size", "200"],
+    ], ids=["ids", "gaps", "lyapunov", "thouless"])
+    def test_non_finite_grid_energy_is_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_grid_is_2(self, tmp_path, capsys):
+        rc = main(["ids", "--e-min", "-1", "--e-max", "1", "--e-points", "0",
+                   "--size", "200", "--out", str(tmp_path / "i.csv")])
+        assert rc == 2
+        assert "--e-points must be >= 1" in capsys.readouterr().err
+
+    def test_gaps_single_point_is_2(self, tmp_path, capsys):
+        rc = main(["gaps", "--e-min", "-3", "--e-max", "3", "--e-points", "1",
+                   "--size", "200", "--out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        assert "--e-points >= 2" in capsys.readouterr().err
+
+    def test_thouless_single_table_point_is_2(self, tmp_path, capsys):
+        rc = main(["thouless", "--e", "0.0", "--n", "100", "--size", "200",
+                   "--table-points", "1", "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "--table-points must be >= 2" in capsys.readouterr().err
+
     def test_holder_honours_depth_cap(self, tmp_path):
         rc = main(["holder", "--potential", "amo", "--lambda", "0.5", "--e", "0.0",
                    "--eps-min", "1e-4", "--depth-cap", "5000",

@@ -132,6 +132,56 @@ class TestLyapunov:
         assert a == pytest.approx(b, abs=1e-6)
 
 
+def log_norms_sequential(E, v, phases, n):
+    """log ||A_s(x)|| for s = 1..n, one step at a time with max-abs
+    rescaling and the 2-norm from an SVD: the reference for the blocked
+    scan in ``cocycle``."""
+    M = np.tile(np.eye(2), (len(phases), 1, 1))
+    logs = np.zeros(len(phases))
+    out = np.empty((n, len(phases)))
+    for s in range(n):
+        e = E - v(phases + s * ALPHA)
+        M = np.stack([np.stack([e * M[:, 0, 0] - M[:, 1, 0], e * M[:, 0, 1] - M[:, 1, 1]], -1),
+                      M[:, 0]], 1)
+        out[s] = logs + np.log(np.linalg.norm(M, 2, axis=(1, 2)))
+        if (s + 1) % 32 == 0:
+            scale = np.abs(M).max(axis=(1, 2))
+            M /= scale[:, None, None]
+            logs += np.log(scale)
+    return out
+
+
+# (v, E): in the spectrum and outside it at each coupling
+BATCH_CASES = [(FREE, 0.3), (FREE, 2.5), (Potential.amo(0.5), 0.0),
+               (Potential.amo(0.5), 0.7), (Potential.amo(2.0), 0.0), (Potential.amo(2.0), 5.0)]
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("v, E", BATCH_CASES)
+    def test_lyapunov_matches_sequential(self, v, E):
+        n, count, x0 = 20000, 16, 0.37
+        phases = (x0 + ALPHA * np.arange(count)) % 1.0
+        want = np.mean(log_norms_sequential(E, v, phases, n)[-1]) / n
+        assert lyapunov(E, v, ALPHA, n, count, x0=x0) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("v, E", BATCH_CASES)
+    def test_growth_profile_matches_sequential(self, v, E):
+        s_max, count, x0 = 3001, 32, 0.11  # 3001 = 54 blocks of 56 steps, the last short
+        phases = (x0 + np.arange(count) / count) % 1.0
+        want = log_norms_sequential(E, v, phases, s_max).max(axis=1)
+        got = growth_profile(E, v, ALPHA, s_max, count, x0=x0).log_sup
+        # relative, with the log norms near 0 (norms near 1) held to 1e-12 absolute
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+    def test_short_products(self):
+        # n below 4 runs as a single block, n = 5 as blocks of 3 and 2 steps
+        phases = (0.1 + ALPHA * np.arange(2)) % 1.0
+        for n in (1, 2, 3, 5):
+            want = log_norms_sequential(0.4, Potential.amo(0.5), phases, n)
+            assert lyapunov(0.4, Potential.amo(0.5), ALPHA, n, 2, x0=0.1) == pytest.approx(
+                np.mean(want[-1]) / n, rel=1e-13)
+
+
 class TestGrowthProfile:
     def test_free_rotation_bounded(self):
         gp = growth_profile(0.0, FREE, ALPHA, 500, 8)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
+from quasispec import spectral
 from quasispec.arithmetic import resolve_alpha
 from quasispec.cocycle import Potential, lyapunov
 from quasispec.spectral import (
+    GapRecord,
     gap_edges,
     holder_fit,
     ids,
@@ -31,6 +35,24 @@ def free_ids_exact(E):
     return math.acos(-E / 2) / math.pi
 
 
+def sturm_counts_sequential(diag, E_grid):
+    """The site-by-site pivot loop, the reference for the blocked scan."""
+    E = np.asarray(E_grid, dtype=float)
+    count = np.zeros(E.shape, dtype=np.int64)
+    d = np.full(E.shape, np.inf)
+    tiny = 1e-300
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a in diag:
+            d = (a - E) - 1.0 / d
+            d = np.where(d == 0.0, -tiny, d)
+            count += d < 0
+    return count
+
+
+def orbit_diag(v, size, theta=0.0):
+    return np.asarray(v((theta + ALPHA * np.arange(size)) % 1.0), dtype=float)
+
+
 class TestSturm:
     def test_free_counts_match_exact_eigenvalues(self):
         # eigenvalues of the free n-box are 2 cos(pi j / (n+1))
@@ -39,6 +61,42 @@ class TestSturm:
         exact = np.sort(2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
         for E in (-1.5, -0.3, 0.9, 1.99):
             assert sturm_counts(diag, np.array([E]))[0] == np.searchsorted(exact, E)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8))
+    def test_counts_match_eigenvalues(self, n, seed, energies):
+        # small boxes with few energies still split into isqrt(n) blocks
+        diag = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+        eigs = eigvalsh_tridiagonal(diag, np.ones(n - 1)) if n > 1 else diag
+        E = np.array(energies)
+        away = np.min(np.abs(E[:, None] - eigs[None, :]), axis=1) > 1e-9
+        got = sturm_counts(diag, E)
+        assert np.array_equal(got[away], np.searchsorted(eigs, E[away], side="left"))
+
+    @pytest.mark.parametrize("size, grid", [
+        (4000, np.linspace(-3.2, 3.2, 6401)),      # the IDS table of the gap search
+        (50000, np.linspace(0.331, 0.341, 64)),    # the first stage of an edge search
+        (20000, np.array([-0.01, 0.01])),          # a spectrum-membership test
+    ], ids=["4000x6401", "50000x64", "20000x2"])
+    def test_equals_sequential_loop(self, size, grid):
+        diag = orbit_diag(AMO, size, 0.123)
+        assert np.array_equal(sturm_counts(diag, grid), sturm_counts_sequential(diag, grid))
+
+    def test_exact_zero_pivots(self):
+        # the free box at E in {-1, 0, 1} hits exact zero pivots every few
+        # sites, also at block boundaries
+        for n in (24, 257, 3000):
+            grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, math.sqrt(2.0)])
+            diag = np.zeros(n)
+            assert np.array_equal(sturm_counts(diag, grid), sturm_counts_sequential(diag, grid))
+
+    def test_shapes(self):
+        diag = orbit_diag(AMO, 500)
+        assert sturm_counts(diag, np.linspace(-3, 3, 12).reshape(3, 4)).shape == (3, 4)
+        assert sturm_counts(diag, np.array([])).shape == (0,)
+        assert np.array_equal(sturm_counts(np.array([]), np.array([0.0, 1.0])), [0, 0])
+        assert sturm_counts(diag, np.array([3.5]))[0] == 500
 
 
 class TestIds:
@@ -164,6 +222,13 @@ class TestGaps:
             assert label_err < 1e-2
         plateaus = [g.n_plateau for g in gaps]
         assert plateaus == sorted(plateaus)
+
+    def test_refined_edge_equals_sequential(self, monkeypatch):
+        # the left edge of the gap labelled alpha, as the 4000-site table finds it
+        gap = GapRecord(e_left=0.336, e_right=1.297, n_plateau=0.618125)
+        got = refine_gap_edge(AMO, ALPHA, gap, "left", half_width=5e-3, size=50000)
+        monkeypatch.setattr(spectral, "sturm_counts", sturm_counts_sequential)
+        assert got == refine_gap_edge(AMO, ALPHA, gap, "left", half_width=5e-3, size=50000)
 
     def test_refined_edge_inside_coarse_bracket(self):
         tab = ids(AMO, ALPHA, np.linspace(-3.2, 3.2, 3201), "finite_box", size=3000)

@@ -114,6 +114,56 @@ class TestLadderOracle:
         with pytest.raises(ValueError):
             _p_entries_upto(0.3, AMO, ALPHA, 0.0, [])
 
+    # (p11, p12, p22, log det) as float.hex, recorded from the implementation
+    # whose block totals were written out in place; a polynomial potential
+    # keeps the site energies free of libm rounding
+    RECORDED = {
+        (0.3, 0.0): {
+            1: ("0x1.00cb87a8661a3p+0", "-0x1.c8864680b5838p-5", "0x1.0000000000000p+0",
+                "0x1.6800000000000p-55"),
+            2: ("0x1.231a0f8c92c46p+1", "-0x1.04367134e5570p-2", "0x1.d15287ebf116cp+0",
+                "0x1.674899766b3c6p+0"),
+            37: ("0x1.dc2b604c9c682p+5", "-0x1.7a8be0b0b5950p+4", "0x1.4a74e01e2f11cp+5",
+                 "0x1.e32338f82d9e8p+2"),
+            1500: ("0x1.360ad7bd89c97p+11", "-0x1.32e18a089a91ap+10", "0x1.d860d8a0aa307p+10",
+                   "0x1.df1d5d1b639d4p+3"),
+        },
+        (1.1, 0.21): {
+            5: ("0x1.293b09b92efecp+3", "0x1.759aa513f965cp-3", "0x1.39b77dd7c5d0cp+2",
+                "0x1.e8a8b696249a4p+1"),
+            100: ("0x1.378792ff5db40p+7", "-0x1.3f448fff93815p+4", "0x1.f3b791608b622p+6",
+                  "0x1.3b5f9c21d3819p+3"),
+            20000: ("0x1.e98a576028713p+14", "-0x1.e4be273124038p+11", "0x1.852f222e0548fp+14",
+                    "0x1.474b110e4b04fp+4"),
+        },
+    }
+
+    @pytest.mark.parametrize("E, x", list(RECORDED))
+    def test_bit_identical_to_recorded(self, E, x):
+        want = self.RECORDED[(E, x)]
+        got = _p_entries_upto(E, lambda t: 4.0 * t * (1.0 - t) - 0.7, ALPHA, x, list(want))
+        for k, entries in want.items():
+            assert [float(g).hex() for g in got[k]] == list(entries)
+
+
+class TestLargeEntries:
+    # at E = 0.7, x = 0.21, k = 418 the P entries pass 1e186 (so their
+    # squares overflow) and det P passes 1e308, while every transfer-matrix
+    # entry stays below the 1e120 guard
+    def test_norm_and_smallest_eig(self):
+        pm = p_matrix(0.7, AMO, ALPHA, 0.21, 418)
+        assert pm.entries[1, 1] > 1e186
+        # P is numerically rank one here: its norm is its trace
+        assert pm.norm == pytest.approx(pm.trace, rel=1e-12)
+        assert 0.0 < pm.smallest_eig < pm.norm
+        assert pm.det == math.inf
+
+    def test_profile_row(self):
+        prof = profile(0.7, AMO, ALPHA, 0.21, [418])
+        (row,) = prof.rows
+        assert row.norm_P == pytest.approx(p_matrix(0.7, AMO, ALPHA, 0.21, 418).norm, rel=1e-15)
+        assert row.det_P == math.inf and row.eps_k > 0.0
+
 
 class TestDetBetaScan:
     def test_matches_p_matrix(self):
