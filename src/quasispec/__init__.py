@@ -16,7 +16,6 @@ from .arithmetic import (
 )
 from .cocycle import (
     GrowthProfile,
-    Mat2,
     Potential,
     SolutionSeq,
     growth_profile,

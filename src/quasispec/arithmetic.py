@@ -53,11 +53,6 @@ def torus_norm(x: float) -> float:
     return min(f, 1.0 - f)
 
 
-def torus_norm_array(x: np.ndarray) -> np.ndarray:
-    f = x - np.floor(x)
-    return np.minimum(f, 1.0 - f)
-
-
 def _torus_norm_mp(x: mpmath.mpf) -> mpmath.mpf:
     f = x - mpmath.floor(x)
     return min(f, 1 - f)

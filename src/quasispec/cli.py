@@ -137,11 +137,21 @@ def _check_eps_floor(args):
                          "(recursion depth grows like 1/eps)")
 
 
+def _check_finite(args):
+    """Every float the command reads, flags and the parts of --coeffs and
+    --t-hat, must be finite."""
+    values = [(name, v) for name, v in vars(args).items() if isinstance(v, float)]
+    for name in ("coeffs", "t_hat"):
+        text = getattr(args, name, None) or ""
+        values += [(name, float(part)) for item in text.split(",") if item
+                   for part in item.split(":")]
+    for name, value in values:
+        if not math.isfinite(value):
+            flag = "lambda" if name == "lam" else name.replace("_", "-")
+            raise ValueError(f"--{flag} must be finite, got {value}")
+
+
 def _energy_grid(args) -> np.ndarray:
-    for name in ("e", "e_min", "e_max"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.e is not None:
         return np.array([args.e])
     if args.e_min is None or args.e_max is None:
@@ -283,6 +293,7 @@ def run(args) -> int:
     cmd = args.command
     params = _params_dict(args)
     try:
+        _check_finite(args)
         freq = resolve_alpha(args.alpha, getattr(args, "cf_depth", 40))
         alpha = freq.alpha
 

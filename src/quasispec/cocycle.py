@@ -2,15 +2,17 @@
 Lyapunov exponents.
 
 The cocycle over the circle rotation by alpha is (x, w) -> (x + alpha,
-A(x) w) with the companion step A(x) = [[z - v(x), -1], [1, 0]].  Ordered
-products A_n(x) = A(x+(n-1)alpha) ... A(x) are renormalised every 32
-steps against overflow; every product-returning routine reports the
+A(x) w) with the companion step A(x) = [[z - v(x), -1], [1, 0]].  Site
+phases x + n alpha come from one sampler, ``orbit``, and are reduced
+mod 1.  Ordered products A_n(x) = A(x+(n-1)alpha) ... A(x) come from one
+kernel, ``block_totals``, which rescales by powers of two every 32 steps
+against overflow; every product-returning routine reports the
 accumulated log scale, so the exact product is exp(log_scale) * matrix.
+Matrices are plain 2x2 ndarrays.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -93,97 +95,48 @@ class Potential:
         return f"Potential.trig({self.coeffs})"
 
 
-def op_norm_2x2(m: np.ndarray) -> float:
-    """Operator 2-norm of a 2x2 matrix from the closed-form singular values."""
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    t = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    det = abs(a * d - b * c) ** 2
-    disc = max(t * t - 4 * det, 0.0)
-    return math.sqrt((t + math.sqrt(disc)) / 2)
+def orbit(theta: float, alpha: float, lo: int, hi: int) -> np.ndarray:
+    """Phases theta + n alpha mod 1 of the sites n = lo .. hi-1: the one
+    sampler of the rotation orbit, so every caller sees the same site
+    phases (reduced mod 1, where the potential is periodic)."""
+    x = theta + alpha * np.arange(lo, hi)
+    return x - np.floor(x)  # exactly x % 1.0, at a tenth of its cost
 
 
-def smallest_sv_2x2(m: np.ndarray) -> float:
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    t = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    det = abs(a * d - b * c) ** 2
-    disc = max(t * t - 4 * det, 0.0)
-    return math.sqrt(max((t - math.sqrt(disc)) / 2, 0.0))
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 matrix value with its determinant tracked."""
-
-    m: np.ndarray
-
-    @property
-    def det(self) -> complex:
-        return self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0]
-
-    def norm(self) -> float:
-        return op_norm_2x2(self.m)
-
-    def smallest_sv(self) -> float:
-        return smallest_sv_2x2(self.m)
-
-    def adjugate(self) -> "Mat2":
-        a, b, c, d = self.m[0, 0], self.m[0, 1], self.m[1, 0], self.m[1, 1]
-        return Mat2(np.array([[d, -b], [-c, a]], dtype=self.m.dtype))
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.m @ other.m)
-
-
-def step_matrix(z, v: Potential, x: float) -> Mat2:
+def step_matrix(z, v: Potential, x: float) -> np.ndarray:
     """Transfer step [[z - v(x), -1], [1, 0]]; det = 1 exactly."""
-    e = z - v(x)
-    dtype = complex if isinstance(e, complex) else float
-    return Mat2(np.array([[e, -1.0], [1.0, 0.0]], dtype=dtype))
+    return np.array([[z - v(x), -1.0], [1.0, 0.0]])
 
 
-def iterate(z, v: Potential, alpha: float, x: float, n: int) -> tuple[Mat2, float]:
+def iterate(z, v: Potential, alpha: float, x: float, n: int) -> tuple[np.ndarray, float]:
     """n-th cocycle iterate at x, rescaled to unit operator norm.
 
     Returns ``(mat, log_scale)`` with exact product exp(log_scale)*mat.
-    Negative n is handled by multiplying the analytic step inverses
-    [[0, 1], [-1, z - v]] in reverse order, per the cocycle power
-    definition A_{-n}(x) = A_n(x - n alpha)^{-1}.
+    The steps are one block of ``block_totals``, normalised by ``_norm``.
+    Negative n follows the cocycle power definition
+    A_{-n}(x) = A_n(x - n alpha)^{-1}: the adjugate of the forward
+    product from x + n alpha, which has det 1 and the same norm.  The
+    energy must be real.
     """
-    if n == 0:
-        return Mat2(np.eye(2)), 0.0
-    complex_case = isinstance(z, complex) and z.imag != 0.0
-    dtype = complex if complex_case else float
-    if not complex_case and isinstance(z, complex):
-        z = z.real
-    M = np.eye(2, dtype=dtype)
-    log_scale = 0.0
-    if n > 0:
-        steps = range(n)
-        build = lambda e: np.array([[e, -1.0], [1.0, 0.0]], dtype=dtype)
-        phase = lambda j: x + j * alpha
-    else:
-        steps = range(-n)
-        build = lambda e: np.array([[0.0, 1.0], [-1.0, e]], dtype=dtype)
-        phase = lambda j: x - (j + 1) * alpha
-    for j in steps:
-        e = z - v(phase(j))
-        M = build(e) @ M
-        if (j + 1) % RESCALE_EVERY == 0:
-            s = float(np.max(np.abs(M)))
-            M /= s
-            log_scale += math.log(s)
-    nrm = op_norm_2x2(M)
-    return Mat2(M / nrm), log_scale + math.log(nrm)
+    z = complex(z)
+    if z.imag != 0.0:
+        raise ValueError(f"iterate needs a real energy, got {z}")
+    if n < 0:
+        m, log_scale = iterate(z, v, alpha, x + n * alpha, -n)
+        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]), log_scale
+    a, b, c, d, ex = block_totals(z.real - v(orbit(x, alpha, 0, n)), ())
+    nrm = _norm(a, b, c, d)
+    return np.array([[a, b], [c, d]]) / nrm, float(ex * LN2 + np.log(nrm))
 
 
-def product_log_det(mat: Mat2, log_scale: float) -> float:
+def product_log_det(mat: np.ndarray, log_scale: float) -> float:
     """log |det| of the unscaled product exp(log_scale)*mat."""
-    return math.log(abs(mat.det)) + 2 * log_scale
+    return math.log(abs(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])) + 2 * log_scale
 
 
 def _phase_batch(x0: float, alpha: float, count: int, grid: str) -> np.ndarray:
     if grid == "orbit":
-        return (x0 + alpha * np.arange(count)) % 1.0
+        return orbit(x0, alpha, 0, count)
     if grid == "uniform":
         return (x0 + np.arange(count) / count) % 1.0
     raise ValueError("grid must be 'orbit' or 'uniform'")
@@ -237,12 +190,12 @@ def _max_exponent(a, b, c, d):
                                np.maximum(np.abs(c), np.abs(d))))[1]
 
 
-def _log_norm(a, b, c, d):
-    """log of the operator 2-norm of [[a, b], [c, d]] (real entries), from
+def _norm(a, b, c, d):
+    """Operator 2-norm of [[a, b], [c, d]] (real entries), from
     sigma_max = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2: a sum of
     non-negative terms, where the trace/determinant formula cancels for
     norms near 1."""
-    return np.log(0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)))
+    return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
 
 
 def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
@@ -304,14 +257,14 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
         for t, e in enumerate(rows(blocks, steps)):
             a, b, c, d = e * a - c, e * b - d, a, b
             if keep_all:
-                hist[:, t] = sx * LN2 + _log_norm(a, b, c, d)
+                hist[:, t] = sx * LN2 + np.log(_norm(a, b, c, d))
             if t % RESCALE_EVERY == RESCALE_EVERY - 1:
                 k = _max_exponent(a, b, c, d)
                 a, b, c, d = np.ldexp(a, -k), np.ldexp(b, -k), np.ldexp(c, -k), np.ldexp(d, -k)
                 sx = sx + k
     if keep_all:
         return hist.reshape(B * S, P)[:n]
-    return (sx * LN2 + _log_norm(a, b, c, d))[0]
+    return (sx * LN2 + np.log(_norm(a, b, c, d)))[0]
 
 
 def lyapunov(E: float, v: Potential, alpha: float, n: int, x_grid: int,
@@ -395,8 +348,8 @@ def solution(beta: float, z, v: Potential, alpha: float, x: float, L: int) -> So
     u = np.empty(L + 1, dtype=complex if complex_case else float)
     u[0] = -math.sin(beta)
     u[1] = math.cos(beta)
-    for j in range(1, L):
-        u[j + 1] = (z - v(x + j * alpha)) * u[j] - u[j - 1]
+    for j, e in enumerate(z - v(orbit(x, alpha, 1, L)), start=1):  # sites 1 .. L-1
+        u[j + 1] = e * u[j] - u[j - 1]
     return SolutionSeq(beta=beta, z=z, values=u)
 
 
@@ -406,7 +359,7 @@ def solution_norm_sq_batch(u0: np.ndarray, u1: np.ndarray, E: float, v: Potentia
     prev = np.array(u0, dtype=float)
     cur = np.array(u1, dtype=float)
     acc = cur * cur
-    for j in range(1, L):
-        prev, cur = cur, (E - v(x + j * alpha)) * cur - prev
+    for e in E - v(orbit(x, alpha, 1, L)):  # sites 1 .. L-1
+        prev, cur = cur, e * cur - prev
         acc += cur * cur
     return acc

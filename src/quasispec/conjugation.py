@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import torus_norm
-from .cocycle import Potential, op_norm_2x2
+from .cocycle import Potential
 
 MODE_DROP_REL = 1e-16
 LOG_GUARD = math.log(2.0)
@@ -410,11 +410,9 @@ def perturbation_bound_check(tc: TriangularCocycle, x: float,
         M = Ttilde(x + j * tc.alpha) @ M
         if j % 2 == 0:
             Xt += M.conj().T @ M
-    lhs = op_norm_2x2(Xt - Xmat)
-    xs = np.arange(grid) / grid
-    sup = 0.0
-    for xv in xs:
-        sup = max(sup, op_norm_2x2(Ttilde(xv) - tc.step(xv)))
+    lhs = np.linalg.norm(Xt - Xmat, 2)
+    sup = max((np.linalg.norm(Ttilde(xv) - tc.step(xv), 2) for xv in np.arange(grid) / grid),
+              default=0.0)
     t0 = abs(tc.t_hat)
     threshold = TILDE_T_CONSTANT * tc.k ** -2 * (1.0 + 2.0 * tc.k * t0) ** -2
     return PerturbationRecord(lhs=float(lhs), premise=float(sup),
@@ -436,6 +434,15 @@ class ReductionResult:
     contraction_ratios: tuple[float, ...]
     iterations: int
     imag_asym: float
+
+
+def _schrodinger_grid(vg: np.ndarray) -> np.ndarray:
+    """The steps [[v, -1], [1, 0]] at the grid values vg, shape (len(vg), 2, 2)."""
+    S = np.zeros((len(vg), 2, 2), dtype=complex)
+    S[:, 0, 0] = vg
+    S[:, 0, 1] = -1.0
+    S[:, 1, 0] = 1.0
+    return S
 
 
 def _band_norms_from_grid(values: np.ndarray, band: float) -> float:
@@ -483,13 +490,6 @@ def schrodinger_reduction(A: MatFunction, v: Potential, alpha: float, band: floa
     Ag = A0.copy()
     vgrid = np.asarray(v(xs), dtype=float)
     B = np.tile(np.eye(2, dtype=complex), (grid, 1, 1))
-
-    def schrodinger_grid(vg):
-        S = np.zeros((grid, 2, 2), dtype=complex)
-        S[:, 0, 0] = vg
-        S[:, 0, 1] = -1.0
-        S[:, 1, 0] = 1.0
-        return S
 
     def sinv_times(vg, M):
         # [[0, 1], [-1, vg]] @ M
@@ -562,9 +562,8 @@ def schrodinger_reduction(A: MatFunction, v: Potential, alpha: float, band: floa
     Binv[:, 0, 1] = -B[:, 0, 1] / detB
     Binv[:, 1, 0] = -B[:, 1, 0] / detB
     Binv[:, 1, 1] = B[:, 0, 0] / detB
-    target = schrodinger_grid(np.asarray(v_out(xs), dtype=float))
-    resid_grid = B_plus @ A0 @ Binv - target
-    residual = float(max(op_norm_2x2(resid_grid[i]) for i in range(grid)))
+    target = _schrodinger_grid(np.asarray(v_out(xs), dtype=float))
+    residual = float(np.max(np.linalg.norm(B_plus @ A0 @ Binv - target, 2, axis=(1, 2))))
     return ReductionResult(
         v_out=v_out, B=MatFunction.from_grid(B, band), residual=residual,
         w_norms=tuple(w_norms), contraction_ratios=tuple(ratios),
@@ -583,12 +582,7 @@ def perturbed_schrodinger(v: Potential, w_entries, band: float,
     w[:, 1, 0] = w3(xs)
     w[:, 1, 1] = -w[:, 0, 0]
     ew = mat_exp_grid(w)
-    vg = np.asarray(v(xs), dtype=float)
-    S = np.zeros((grid, 2, 2), dtype=complex)
-    S[:, 0, 0] = vg
-    S[:, 0, 1] = -1.0
-    S[:, 1, 0] = 1.0
-    return MatFunction.from_grid(S @ ew, band)
+    return MatFunction.from_grid(_schrodinger_grid(np.asarray(v(xs), dtype=float)) @ ew, band)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Potential, block_count, block_totals
+from .cocycle import Potential, block_count, block_totals, orbit
 from .weyl import DEPTH_CAP_DEFAULT, m_triple
 
 _TINY = 1e-300  # a zero pivot is replaced by -_TINY
@@ -154,9 +154,11 @@ def ids(v: Potential, alpha: float, E_grid, method: str = "finite_box",
     """
     if size < 100:
         raise ValueError("size must be >= 100")
+    if phases < 1:
+        raise ValueError(f"phases must be >= 1, got {phases}")
     E = np.asarray(E_grid, dtype=float)
     if method == "finite_box":
-        diag = np.asarray(v((theta + alpha * np.arange(size)) % 1.0), dtype=float)
+        diag = np.asarray(v(orbit(theta, alpha, 0, size)), dtype=float)
         N = sturm_counts(diag, E) / size
         return IdsTable(energies=E, N_values=N, method=method, size=size)
     if method == "phase_average":
@@ -167,7 +169,7 @@ def ids(v: Potential, alpha: float, E_grid, method: str = "finite_box",
 
         def one_phase(j):
             th = theta + j / phases
-            diag = np.asarray(v((th + alpha * np.arange(size)) % 1.0), dtype=float)
+            diag = np.asarray(v(orbit(th, alpha, 0, size)), dtype=float)
             w, vecs = eigh_tridiagonal(diag, off, select="a")
             weights = np.abs(vecs[center, :]) ** 2
             cum = np.concatenate([[0.0], np.cumsum(weights)])
@@ -190,7 +192,7 @@ def in_spectrum(v: Potential, alpha: float, E: float, delta: float,
                 size: int = 20000, theta: float = 0.0) -> bool:
     """Spectrum membership proxy: the finite-box IDS must increase by
     more than the possible boundary-state count across [E-delta, E+delta]."""
-    diag = np.asarray(v((theta + alpha * np.arange(size)) % 1.0), dtype=float)
+    diag = np.asarray(v(orbit(theta, alpha, 0, size)), dtype=float)
     counts = sturm_counts(diag, np.array([E - delta, E + delta]))
     return int(counts[1] - counts[0]) > 2
 
@@ -377,7 +379,7 @@ def refine_gap_edge(v: Potential, alpha: float, gap: GapRecord, side: str,
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    diag = np.asarray(v((theta + alpha * np.arange(size)) % 1.0), dtype=float)
+    diag = np.asarray(v(orbit(theta, alpha, 0, size)), dtype=float)
     mid_gap = 0.5 * (gap.e_left + gap.e_right)
     level = float(sturm_counts(diag, np.array([mid_gap]))[0]) / size
     target = level - 3.0 / size if side == "left" else level + 3.0 / size

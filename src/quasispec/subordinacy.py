@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import Potential, block_totals, solution_norm_sq_batch
+from .cocycle import Potential, block_totals, orbit, solution_norm_sq_batch
 from .weyl import DEPTH_CAP_DEFAULT, m_plus, psi, rotate_beta
 
 JL_UPPER = 5.0 + math.sqrt(24.0)
@@ -157,7 +157,7 @@ def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
     S = 2 * max(1, round(math.sqrt(J) / 2))
     B = -(-J // S)
     es = np.zeros(B * S)  # steps past J are padding, never read back
-    es[:J] = E - np.asarray(v((x + alpha * np.arange(1, J + 1)) % 1.0), dtype=float)
+    es[:J] = E - np.asarray(v(orbit(x, alpha, 1, J + 1)), dtype=float)
     steps = es.reshape(B, S).T.copy()  # steps[t, i]: step j = i S + t + 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # 1. block totals

@@ -13,11 +13,12 @@ recursion contracts the hyperbolic metric of the half-plane for
 Im z > 0, so seed agreement within tol certifies the value without any
 Weyl-disk bookkeeping.  The depth scales like O((1/Im z) ln(1/tol)).
 
-The N steps are the Moebius action of the product of the step matrices
-[[0, -1], [1, z - v_n]].  The depth doubles from 64 until the two seeds
-agree; each new block of sites is multiplied out as a balanced tree held
-in four complex component arrays (p, q, r, s), one vectorised pass per
-level.  The first level is taken in closed form,
+The site phases theta + n alpha come from ``cocycle.orbit``, reduced
+mod 1.  The N steps are the Moebius action of the product of the step
+matrices [[0, -1], [1, z - v_n]].  The depth doubles from 64 until the
+two seeds agree; each new block of sites is multiplied out as a
+balanced tree held in four complex component arrays (p, q, r, s), one
+vectorised pass per level.  The first level is taken in closed form,
 [[0,-1],[1,a1]] [[0,-1],[1,a2]] = [[-1, -a2], [a1, a1 a2 - 1]], and
 every level divides each matrix by its max-abs entry, which leaves the
 Moebius action unchanged and keeps the entries finite.  Blocks are cut
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Potential
+from .cocycle import Potential, orbit
 
 DEPTH_CAP_DEFAULT = 10**7
 _CHUNK = 1 << 14  # sites per first-stage tree in _block_product
@@ -148,8 +149,10 @@ def _halfline_m(z, site_values, tol, depth_cap):
     (1-based).  Returns (m, est_error, depth).
     """
     z = _require_upper(z)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if depth_cap < 1:
+        raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
     P, Q, R, S = 1.0, 0.0, 0.0, 1.0
     done, depth = 0, 64
     while True:
@@ -186,7 +189,7 @@ def m_plus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     depth_cap : recursion depth cap; exceeded depth raises NoConvergence.
     full_output : also return (est_error, depth).
     """
-    sites = lambda lo, hi: v(theta + alpha * np.arange(lo, hi))
+    sites = lambda lo, hi: v(orbit(theta, alpha, lo, hi))
     m, est, depth = _halfline_m(z, sites, tol, depth_cap)
     return (m, est, depth) if full_output else m
 
@@ -198,7 +201,7 @@ def m_minus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     Computed as m_plus of the reflected potential x -> v(theta - n alpha);
     equals -u_{-1}/u_0 for the l2(-oo) solution u of H u = z u.
     """
-    sites = lambda lo, hi: v(theta - alpha * np.arange(lo, hi))
+    sites = lambda lo, hi: v(orbit(theta, -alpha, lo, hi))
     m, est, depth = _halfline_m(z, sites, tol, depth_cap)
     return (m, est, depth) if full_output else m
 
@@ -236,62 +239,39 @@ def m_triple(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
                    truncation_depth=max(dp, dm), est_error=ep + em)
 
 
-def box_m_plus(z, v: Potential, alpha: float, theta: float, size: int) -> complex:
-    """Finite-section oracle for m_plus: G(1,1) of the half-line truncation.
-
-    Solves the tridiagonal system (H - z) g = e_1 on sites 1..size with
-    Dirichlet ends; the error decays exponentially in size * Im z.
-    """
+def _box_green(z, v: Potential, alpha: float, theta: float, lo: int, hi: int,
+               corners) -> complex:
+    """Sum of the Green's function entries G(c, c), c in ``corners``, of the
+    truncation to sites lo..hi-1 with Dirichlet ends: one banded solve of
+    (H - z) g = e_c, a right-hand side per corner."""
     from scipy.linalg import solve_banded
 
     z = _require_upper(z)
-    diag = v(theta + alpha * np.arange(1, size + 1)).astype(complex) - z
-    ab = np.zeros((3, size), dtype=complex)
+    n = hi - lo
+    ab = np.zeros((3, n), dtype=complex)
     ab[0, 1:] = 1.0
-    ab[1] = diag
+    ab[1] = v(orbit(theta, alpha, lo, hi)) - z
     ab[2, :-1] = 1.0
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = 1.0
+    idx = [c - lo for c in corners]
+    rhs = np.zeros((n, len(idx)), dtype=complex)
+    rhs[idx, range(len(idx))] = 1.0
     g = solve_banded((1, 1), ab, rhs)
-    return complex(g[0])
+    return complex(np.trace(g[idx]))  # column j holds G(., c_j); row idx[j] is G(c_j, c_j)
+
+
+def box_m_plus(z, v: Potential, alpha: float, theta: float, size: int) -> complex:
+    """Finite-section oracle for m_plus: G(1,1) of the half-line truncation
+    to sites 1..size; the error decays exponentially in size * Im z."""
+    return _box_green(z, v, alpha, theta, 1, size + 1, (1,))
 
 
 def box_m_minus(z, v: Potential, alpha: float, theta: float, size: int) -> complex:
     """Finite-section oracle for m_minus: G(-1,-1) of the left half-line
-    truncation to sites -size..-1 with Dirichlet ends."""
-    from scipy.linalg import solve_banded
-
-    z = _require_upper(z)
-    sites = np.arange(-size, 0)
-    diag = v(theta + alpha * sites).astype(complex) - z
-    ab = np.zeros((3, size), dtype=complex)
-    ab[0, 1:] = 1.0
-    ab[1] = diag
-    ab[2, :-1] = 1.0
-    rhs = np.zeros(size, dtype=complex)
-    rhs[-1] = 1.0  # site -1
-    g = solve_banded((1, 1), ab, rhs)
-    return complex(g[-1])
+    truncation to sites -size..-1."""
+    return _box_green(z, v, alpha, theta, -size, 0, (-1,))
 
 
 def box_M(z, v: Potential, alpha: float, theta: float, size: int) -> complex:
     """Finite-section oracle for M: G(0,0) + G(1,1) of the whole-line
     truncation to sites -size..size+1."""
-    from scipy.linalg import solve_banded
-
-    z = _require_upper(z)
-    sites = np.arange(-size, size + 2)
-    diag = v(theta + alpha * sites).astype(complex) - z
-    n = len(sites)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = 1.0
-    ab[1] = diag
-    ab[2, :-1] = 1.0
-    out = 0.0 + 0.0j
-    for corner in (0, 1):
-        rhs = np.zeros(n, dtype=complex)
-        idx = int(np.where(sites == corner)[0][0])
-        rhs[idx] = 1.0
-        g = solve_banded((1, 1), ab, rhs)
-        out += g[idx]
-    return complex(out)
+    return _box_green(z, v, alpha, theta, -size, size + 2, (0, 1))

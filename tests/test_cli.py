@@ -170,6 +170,33 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["resonances", "--eps0", "nan"],
+        ["lyapunov", "--e", "0.5", "--lambda", "nan", "--n", "100"],
+        ["mfunction", "--e", "0.0", "--eps-min", "nan"],
+        ["subordinacy", "--e", "0.0", "--k-max", "10", "--tol", "nan"],
+        ["holder", "--e", "0.0", "--eps-max", "nan"],
+        ["ids", "--e", "0.0", "--size", "200", "--theta", "nan"],
+        ["thouless", "--e", "0.0", "--n", "100", "--size", "200", "--table-span", "nan"],
+        ["gaps", "--e-min", "-3", "--e-max", "3", "--size", "200", "--plateau-tol", "nan"],
+        ["tx-oracle", "--k", "5", "--t-hat", "nan"],
+        ["tx-oracle", "--k", "5", "--t-hat", "0.7:nan"],
+        ["reduce", "--potential", "trigpoly", "--coeffs", "0:3:0,1:-0.5:0,-1:-0.5:0",
+         "--band", "nan"],
+        ["reduce", "--potential", "trigpoly", "--coeffs", "0:3:0,1:nan:0,-1:nan:0"],
+        ["ids", "--e", "0.0", "--size", "200", "--method", "phase-average", "--phases", "0"],
+        ["ids", "--e", "0.0", "--size", "200", "--method", "phase-average", "--phases", "-1"],
+        ["subordinacy", "--e", "0.0", "--k-max", "10", "--depth-cap", "0"],
+    ], ids=["resonances", "lyapunov", "mfunction", "subordinacy", "holder", "ids", "thouless",
+            "gaps", "tx-oracle", "tx-oracle-imag", "reduce", "reduce-coeffs", "phases-0",
+            "phases-neg", "depth-cap-0"])
+    def test_bad_number_is_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "b.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_grid_is_2(self, tmp_path, capsys):
         rc = main(["ids", "--e-min", "-1", "--e-max", "1", "--e-points", "0",
                    "--size", "200", "--out", str(tmp_path / "i.csv")])

@@ -10,6 +10,7 @@ from quasispec.cocycle import (
     growth_profile,
     iterate,
     lyapunov,
+    orbit,
     product_log_det,
     solution,
     step_matrix,
@@ -51,28 +52,28 @@ class TestPotential:
 class TestStepMatrix:
     def test_free_zero_energy(self):
         m = step_matrix(0.0, FREE, 0.3)
-        assert np.allclose(m.m, [[0.0, -1.0], [1.0, 0.0]])
+        assert np.allclose(m, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_amo_half(self):
         m = step_matrix(0.0, Potential.amo(0.5), 0.0)
-        assert np.allclose(m.m, [[-1.0, -1.0], [1.0, 0.0]])
+        assert np.allclose(m, [[-1.0, -1.0], [1.0, 0.0]])
 
     def test_det_exactly_one(self):
         for _ in range(20):
             m = step_matrix(RNG.normal(), Potential.amo(RNG.uniform()), RNG.uniform())
-            assert m.det == 1.0
+            assert m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == 1.0
 
 
 class TestIterate:
     def test_empty_product(self):
         m, s = iterate(1.0, FREE, ALPHA, 0.2, 0)
-        assert np.allclose(m.m, np.eye(2)) and s == 0.0
+        assert np.allclose(m, np.eye(2)) and s == 0.0
 
     def test_single_factor(self):
         a = step_matrix(2.5, FREE, 0.1)
         m, s = iterate(2.5, FREE, ALPHA, 0.1, 1)
-        assert s == pytest.approx(math.log(a.norm()))
-        assert np.allclose(m.m * math.exp(s), a.m)
+        assert s == pytest.approx(math.log(np.linalg.norm(a, 2)))
+        assert np.allclose(m * math.exp(s), a)
 
     def test_constant_hyperbolic_growth(self):
         # [[2.5, -1], [1, 0]] has spectral radius 2
@@ -81,7 +82,7 @@ class TestIterate:
 
     def test_unit_norm_output(self):
         m, _ = iterate(1.7, Potential.amo(0.5), ALPHA, 0.3, 257)
-        assert m.norm() == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(m, 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_det_preservation(self):
         for n in (100, 1000, 10000):
@@ -96,22 +97,49 @@ class TestIterate:
             a, sa = iterate(0.4, v, ALPHA, 0.2 + m_ * ALPHA, n)
             b, sb = iterate(0.4, v, ALPHA, 0.2, m_)
             c, sc = iterate(0.4, v, ALPHA, 0.2, n + m_)
-            comp = a.m @ b.m
+            comp = a @ b
             nrm = np.linalg.norm(comp, 2)
             assert sa + sb + math.log(nrm) == pytest.approx(sc, rel=1e-8)
-            assert np.allclose(comp / nrm, c.m, atol=1e-8)
+            assert np.allclose(comp / nrm, c, atol=1e-8)
 
     def test_real_entries_for_real_energy(self):
         m, _ = iterate(complex(1.2, 0.0), Potential.amo(0.3), ALPHA, 0.7, 64)
-        assert np.max(np.abs(np.imag(m.m))) <= 1e-12
+        assert np.max(np.abs(np.imag(m))) <= 1e-12
 
     def test_negative_power_is_inverse(self):
         v = Potential.amo(0.5)
         n = 23
         a, sa = iterate(0.9, v, ALPHA, 0.31, n)
         b, sb = iterate(0.9, v, ALPHA, 0.31 + n * ALPHA, -n)
-        prod = (b.m @ a.m) * math.exp(sa + sb)
+        prod = (b @ a) * math.exp(sa + sb)
         assert np.allclose(prod, np.eye(2), atol=1e-9)
+
+
+    def test_unit_norm_near_identity(self):
+        # the product is within 1e-4 of a rotation: a trace/determinant norm
+        # formula cancels there, the hypot form does not
+        m, s = iterate(0.2, FREE, ALPHA, 0.0, 1380)
+        assert abs(np.linalg.norm(m, 2) - 1.0) <= 1e-15
+        # log ||A_1380|| from a 50-digit product of the same double steps
+        assert s == pytest.approx(9.6930354558519819e-05, rel=1e-11)
+
+    def test_complex_energy_rejected(self):
+        for z in (complex(1.2, 0.1), complex(0.0, -1e-300)):
+            with pytest.raises(ValueError):
+                iterate(z, FREE, ALPHA, 0.0, 10)
+
+
+class TestOrbit:
+    def test_sites_reduced_mod_one(self):
+        xs = orbit(0.7, ALPHA, -5, 1000)
+        assert xs.shape == (1005,)
+        assert np.all((0.0 <= xs) & (xs < 1.0))
+        # x - floor(x) is x % 1.0 exactly, negative x included
+        assert np.array_equal(xs, (0.7 + ALPHA * np.arange(-5, 1000)) % 1.0)
+
+    def test_reflected_orbit(self):
+        # m_minus samples the left half-line this way
+        assert np.array_equal(orbit(0.3, -ALPHA, 1, 50), orbit(0.3, ALPHA, -49, 0)[::-1])
 
 
 class TestLyapunov:

@@ -123,6 +123,11 @@ class TestIds:
         with pytest.raises(ValueError):
             ids(FREE, ALPHA, np.array([0.0]), size=50)
 
+    def test_phases_validation(self):
+        for phases in (0, -1):
+            with pytest.raises(ValueError, match="phases must be >= 1"):
+                ids(FREE, ALPHA, np.array([0.0]), "phase_average", size=100, phases=phases)
+
 
 class TestThouless:
     def test_free_hyperbolic_energy(self):

@@ -250,6 +250,14 @@ class TestErrors:
             m_plus(complex(0.3, 1e-3), Potential.amo(0.5), ALPHA, math.nan, 1e-8,
                    depth_cap=4096)
 
+    def test_bad_tol_and_depth_cap_rejected(self):
+        z = complex(0.3, 1e-3)
+        for kwargs in ({"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-8},
+                       {"depth_cap": 0}, {"depth_cap": -5}):
+            for fn in (m_plus, m_minus):
+                with pytest.raises(ValueError):
+                    fn(z, Potential.amo(0.5), ALPHA, 0.0, **kwargs)
+
     def test_est_error_below_tol(self):
         m, est, depth = m_plus(complex(0.3, 1e-2), Potential.amo(0.5), ALPHA, 0.0,
                                1e-8, full_output=True)
