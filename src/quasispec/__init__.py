@@ -65,6 +65,7 @@ from .weyl import (
     M_function,
     m_minus,
     m_plus,
+    m_plus_lanes,
     m_triple,
     phi,
     psi,

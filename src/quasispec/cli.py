@@ -325,6 +325,8 @@ def run(args) -> int:
             v = _potential_from_args(args)
             if args.e is None:
                 raise ValueError("mfunction needs --e")
+            if args.points < 1:
+                raise ValueError("--points must be >= 1")
             _check_eps_floor(args)
             eps = np.geomspace(args.eps_min, args.eps_max, args.points)
             header = ["eps", "re_m_plus", "im_m_plus", "re_M", "im_M", "est_error", "depth"]

@@ -153,19 +153,23 @@ def block_count(n: int, width: int) -> int:
     return max(1, min(math.isqrt(n), 2**12 // max(width, 1)))
 
 
-def block_totals(rows, shape):
+def block_totals(rows, shape, dtype=float, every=RESCALE_EVERY):
     """Products T_S ... T_1 of companion steps T_t = [[e_t, -1], [1, 0]],
     one per block, all blocks at once.
 
     ``rows`` yields the step values e_1, ..., e_S one at a time, each an
     array of ``shape`` holding that step of every block (so no caller
-    builds the whole S x blocks table).  Every ``RESCALE_EVERY`` steps the
-    running products are scaled by a power of two, which is exact.
+    builds the whole S x blocks table); ``dtype`` is float for real
+    energies, complex off the real axis.  Every ``every`` steps the
+    running products are scaled by a power of two, which is exact: the
+    interval changes exponents, never mantissas, so a caller may shorten
+    it where |e_t| is large enough to overflow 32 unscaled steps.
     Returns (a, b, c, d, ex): the totals are 2**ex [[a, b], [c, d]].
     """
-    a, b, c, d = np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+    a, b = np.ones(shape, dtype), np.zeros(shape, dtype)
+    c, d = np.zeros(shape, dtype), np.ones(shape, dtype)
     ex = np.zeros(shape, dtype=np.int64)
-    tmp = np.empty(shape)
+    tmp = np.empty(shape, dtype)
     for t, e in enumerate(rows):
         # [[a, b], [c, d]] <- [[e a - c, e b - d], [a, b]], the new top row
         # written over the old bottom one
@@ -174,11 +178,11 @@ def block_totals(rows, shape):
         np.multiply(e, b, out=tmp)
         np.subtract(tmp, d, out=d)
         a, b, c, d = c, d, a, b
-        if t % RESCALE_EVERY == RESCALE_EVERY - 1:
+        if t % every == every - 1:
             k = _max_exponent(a, b, c, d)
-            np.ldexp(1.0, -k, out=tmp)
+            scale = np.ldexp(1.0, -k)
             for m in (a, b, c, d):
-                np.multiply(m, tmp, out=m)
+                np.multiply(m, scale, out=m)
             ex += k
     return a, b, c, d, ex
 

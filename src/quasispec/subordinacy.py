@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocycle import Potential, block_totals, orbit, solution_norm_sq_batch
-from .weyl import DEPTH_CAP_DEFAULT, m_plus, psi, rotate_beta
+from .weyl import DEPTH_CAP_DEFAULT, m_plus, m_plus_lanes, psi, rotate_beta
 
 JL_UPPER = 5.0 + math.sqrt(24.0)
 JL_LOWER = 5.0 - math.sqrt(24.0)
@@ -235,13 +235,19 @@ def p_matrix(E: float, v: Potential, alpha: float, x: float, k: int) -> PMatrix:
     return PMatrix(k=int(k), entries=m, log_det=logdet, x=float(x), E=float(E))
 
 
-def _beta_products(betas: np.ndarray, E, v, alpha, x, L) -> np.ndarray:
-    """||u^beta||_L^2 * ||u^{beta+pi/2}||_L^2 over a batch of betas,
+def _beta_norms(betas: np.ndarray, E, v, alpha, x, L) -> tuple[np.ndarray, np.ndarray]:
+    """(||u^beta||_L^2, ||u^{beta+pi/2}||_L^2) over a batch of betas,
     computed from the defining recurrences (independent of P_(k))."""
     u0 = -np.sin(betas)
     u1 = np.cos(betas)
     s1 = solution_norm_sq_batch(u0, u1, E, v, alpha, x, L)
     s2 = solution_norm_sq_batch(-u1, u0, E, v, alpha, x, L)  # beta + pi/2
+    return s1, s2
+
+
+def _beta_products(betas: np.ndarray, E, v, alpha, x, L) -> np.ndarray:
+    """||u^beta||_L^2 * ||u^{beta+pi/2}||_L^2 over a batch of betas."""
+    s1, s2 = _beta_norms(betas, E, v, alpha, x, L)
     return s1 * s2
 
 
@@ -347,22 +353,25 @@ def profile(E: float, v: Potential, alpha: float, theta: float,
         ratio_blabl = ||P_(k)|| / ||P_(k)^{-1}||^{-3}
 
     Rows whose eps_k falls below ``eps_floor`` are dropped (the
-    m-function cost scales like 1/eps).  NoConvergence from the
-    m-function propagates.
+    m-function cost scales like 1/eps).  The kept rows' m-functions run
+    as lanes of one walk (``weyl.m_plus_lanes``), so each site is sampled
+    once for all of them.  NoConvergence from the m-function propagates.
     """
     if k_list is None:
         k_list = default_k_list(1000)
     entries = _p_entries_upto(E, v, alpha, theta, k_list)
-    rows = []
+    kept = []
     for k in sorted(entries):
         p11, p12, p22, logdet = entries[k]
-        m = np.array([[p11, p12], [p12, p22]])
-        big = _herm_eigs(m)[1]
         eps_k = 0.5 * math.exp(-0.5 * logdet)
-        if eps_k < eps_floor:
-            continue
-        mp_val = m_plus(complex(E, eps_k), v, alpha, theta, tol, depth_cap)
-        ps = psi(mp_val)
+        if eps_k >= eps_floor:
+            big = _herm_eigs(np.array([[p11, p12], [p12, p22]]))[1]
+            kept.append((k, big, logdet, eps_k))
+    m_vals = m_plus_lanes([complex(E, row[3]) for row in kept], v, alpha, theta, tol,
+                          depth_cap)[0]
+    rows = []
+    for (k, big, logdet, eps_k), mp_val in zip(kept, m_vals):
+        ps = psi(complex(mp_val))
         rows.append(ProfileRow(
             k=k, norm_P=big, det_P=_exp(logdet), eps_k=eps_k, psi_mplus=ps,
             ratio_jl=ps / (2.0 * eps_k * big),
@@ -398,7 +407,8 @@ def jl_bracket_check(E: float, v: Potential, alpha: float, theta: float,
     psi(m+)/(eps ||P_(k)||) at the scale det P_(k) = 1/eps^2.
     """
     L = 2 * k
-    prod_sq = float(_beta_products(np.array([beta]), E, v, alpha, theta, L)[0])
+    s1, s2 = _beta_norms(np.array([beta]), E, v, alpha, theta, L)
+    prod_sq = float((s1 * s2)[0])
     X = math.sqrt(prod_sq)  # ||u^b||_L * ||u^{b+pi/2}||_L
     lo, hi = 0.25 / X, 1.0 / X
     for _ in range(200):
@@ -412,9 +422,7 @@ def jl_bracket_check(E: float, v: Potential, alpha: float, theta: float,
     eps = 0.5 * (lo + hi)
     scale_residual = abs(2.0 * eps * X - 1.0)
 
-    u0, u1 = -math.sin(beta), math.cos(beta)
-    nb = math.sqrt(float(solution_norm_sq_batch(np.array([u0]), np.array([u1]), E, v, alpha, theta, L)[0]))
-    nbp = math.sqrt(float(solution_norm_sq_batch(np.array([-u1]), np.array([u0]), E, v, alpha, theta, L)[0]))
+    nb, nbp = math.sqrt(float(s1[0])), math.sqrt(float(s2[0]))
     mp_val = m_plus(complex(E, eps), v, alpha, theta, tol)
     value = abs(rotate_beta(mp_val, beta)) * nb / nbp
     in_bracket = JL_LOWER * (1 - slack) < value < JL_UPPER * (1 + slack)

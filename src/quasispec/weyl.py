@@ -15,14 +15,26 @@ Weyl-disk bookkeeping.  The depth scales like O((1/Im z) ln(1/tol)).
 
 The site phases theta + n alpha come from ``cocycle.orbit``, reduced
 mod 1.  The N steps are the Moebius action of the product of the step
-matrices [[0, -1], [1, z - v_n]].  The depth doubles from 64 until the
-two seeds agree; each new block of sites is multiplied out as a
-balanced tree held in four complex component arrays (p, q, r, s), one
-vectorised pass per level.  The first level is taken in closed form,
-[[0,-1],[1,a1]] [[0,-1],[1,a2]] = [[-1, -a2], [a1, a1 a2 - 1]], and
-every level divides each matrix by its max-abs entry, which leaves the
-Moebius action unchanged and keeps the entries finite.  Blocks are cut
-into aligned chunks of ``_CHUNK`` sites so the arrays stay in cache.
+matrices [[0, -1], [1, z - v_n]], which is [[d, b], [c, a]] for the
+companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n = [[z - v_n,
+-1], [1, 0]]: the same 2x2 kernel, ``cocycle.block_totals``, as the
+Sturm counts, the Lyapunov products, the P-ladder and ``iterate``.
+
+One walk serves many z ("lanes", ``m_plus_lanes``): ``subordinacy.profile``
+runs every kept eps_k of a ladder in it.  The depth doubles from 64
+until the two seeds of a lane agree; all lanes share the schedule, and
+each retires at the first depth where its seeds agree.  Each new block
+of sites is cut into sub-blocks of 8 to 32 sites, sampled once for all
+live lanes and run as one companion-step scan over lanes x sub-blocks;
+the sub-block totals are then folded pairwise.  All rescaling is by
+powers of two, which is exact, so a lane's value does not depend on
+the other lanes or on how the block is cut into chunks, and the
+rescaling interval of the scan shrinks where |z - v| is large enough
+to overflow it.  Since the doubling schedule is itself a balanced tree
+over the sites, the first walk goes at once to about the depth the
+deepest lane needs, ln(1/tol) / Im z, up to 1024, and checks the
+depths on the way on the prefix nodes of its fold: a short walk pays per
+scan step and fold level, not per site.
 
 ``m_minus`` is the Dirichlet m-function of the left half-line
 (-oo, -1]: reflecting n -> -n maps it onto the right half-line problem
@@ -46,10 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Potential, orbit
+from .cocycle import RESCALE_EVERY, Potential, block_totals, orbit
 
 DEPTH_CAP_DEFAULT = 10**7
-_CHUNK = 1 << 14  # sites per first-stage tree in _block_product
+_ROW = 1 << 10  # lane x sub-block values per scan step: at most 512 KB of step values
+_SITES = 1 << 14  # sites sampled at a time
+_FIRST = 1024  # the first walk's reach at most: short walks cost per block
 
 
 class NoConvergence(RuntimeError):
@@ -98,82 +112,165 @@ def M_function(m_plus_val: complex, m_minus_val: complex) -> complex:
     return out
 
 
-def _rescaled(p, q, r, s):
-    """Divide each matrix [[p, q], [r, s]] by its max-abs entry; scalar
-    rescaling is invisible to the Moebius action."""
-    inv = 1.0 / np.maximum(np.maximum(np.abs(p), np.abs(q)), np.maximum(np.abs(r), np.abs(s)))
-    return p * inv, q * inv, r * inv, s * inv
+def _normalized(x):
+    """Scale each matrix of the (2, 2, ...) stack x by the power of two
+    that brings its max-abs entry into [0.5, 1): exact, and invisible to
+    the Moebius action."""
+    return x * np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(0, 1)))[1])
 
 
-def _first_level(a: np.ndarray):
-    """Pairwise products of the steps [[0, -1], [1, a_n]] in closed form:
-    [[0,-1],[1,a1]] [[0,-1],[1,a2]] = [[-1, -a2], [a1, a1 a2 - 1]]."""
-    n = len(a) & ~1
-    a1, a2 = a[0:n:2], a[1:n:2]
-    level = (np.full(n // 2, -1.0 + 0j), -a2, a1, a1 * a2 - 1.0)
-    if n < len(a):  # the unpaired last step
-        level = tuple(np.append(x, y) for x, y in zip(level, (0.0, -1.0, 1.0, a[-1])))
-    return _rescaled(*level)
+def _mul(left, right):
+    """Products left @ right of (2, 2, ...) stacks of matrices."""
+    return left[:, :1] * right[:1] + left[:, 1:] * right[1:]
 
 
-def _tree(p, q, r, s):
-    """Ordered product of the matrices [[p_i, q_i], [r_i, s_i]], one
-    rescaled pairwise level at a time; returns length-1 arrays."""
-    while len(p) > 1:
-        n = len(p) & ~1
-        p1, q1, r1, s1 = p[0:n:2], q[0:n:2], r[0:n:2], s[0:n:2]
-        p2, q2, r2, s2 = p[1:n:2], q[1:n:2], r[1:n:2], s[1:n:2]
-        level = (p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2)
-        if n < len(p):
-            level = tuple(np.append(x, y[-1]) for x, y in zip(level, (p, q, r, s)))
-        p, q, r, s = _rescaled(*level)
-    return p, q, r, s
+def _fold(x):
+    """Pairwise product of the normalised (2, 2, ..., n) stack of matrices
+    X_0, ..., X_{n-1}, later ones on the left, one level at a time.
+    Returns the first node of every level: node 0 of level j is
+    X_{2**j - 1} ... X_0 (all of them at the top level).
+
+    Node i of level j is the product over [i 2**j, (i+1) 2**j), so the
+    fold of an aligned run of 2**j matrices is a node of the fold of the
+    whole row, bit for bit: power-of-two scaling changes no mantissa.
+    Every fourth level and the top are normalised; in between, entries
+    below 1 grow to at most 2**15."""
+    firsts = [x[..., 0]]
+    while x.shape[-1] > 1:
+        n = x.shape[-1] & ~1
+        level = _mul(x[..., 1:n:2], x[..., 0:n:2])
+        if n < x.shape[-1]:  # the unpaired last matrix moves up unchanged
+            level = np.concatenate((level, x[..., n:]), axis=-1)
+        x = _normalized(level) if len(firsts) % 4 == 0 or level.shape[-1] == 1 else level
+        firsts.append(x[..., 0])
+    return firsts
 
 
-def _block_product(z: complex, site_values, lo: int, hi: int):
-    """Product of the step matrices at sites lo..hi-1 as four complex scalars.
+def _rescale_every(bound: float) -> int:
+    """Steps between rescalings for step values |e| <= bound: 32 unscaled
+    steps grow the entries by up to (bound + 1)**32, which overflows once
+    bound passes about 2**31, so the interval shrinks to keep
+    (bound + 1)**every below 2**960 (down to every step)."""
+    if not (math.isfinite(bound) and bound > 2.0**29):
+        return RESCALE_EVERY
+    return max(1, int(960 / math.log2(bound + 1.0)))
 
-    The sites are taken in chunks of ``_CHUNK`` aligned at ``lo``, so the
-    component arrays stay in cache; for a power-of-two block the chunk
-    roots are the subtrees of one balanced tree over the whole block.
+
+def _block_products(zs, site_values, lo: int, hi: int):
+    """Companion-orientation products T_{j-1} ... T_lo, T_n = [[z - v_n,
+    -1], [1, 0]], of every lane z in ``zs``, as (2, 2, lanes) stacks, for
+    j = lo + S, lo + 2 S, lo + 4 S, ... and finally j = hi.  Returns the
+    site counts j - lo and the products.
+
+    The sites are cut into sub-blocks of S sites (the last one may be
+    shorter); S is 8 up to 1024 sites, where the cost is per scan step
+    and fold level, and grows to 32 by 4096, where it is per site.
+    ``block_totals`` runs all sub-blocks of a chunk as one (lanes,
+    sub-blocks) scan, sampling each site once for every lane, and
+    ``_fold`` multiplies the sub-block totals out.  Chunks hold a power of
+    two of sub-blocks, aligned at ``lo``, fewer the more lanes there are,
+    so that one step touches at most ``_ROW`` values and a chunk samples
+    at most ``_SITES`` sites; by alignment each chunk's fold is a node of
+    the fold over the whole block, and a lane's products do not depend on
+    how many lanes walk with it.
     """
-    roots = [_tree(*_first_level(z - site_values(c, min(c + _CHUNK, hi))))
-             for c in range(lo, hi, _CHUNK)]
-    return tuple(complex(x[0]) for x in _tree(*(np.concatenate(part) for part in zip(*roots))))
+    zcol = zs[:, None]
+    S = min(RESCALE_EVERY, max(8, (hi - lo) >> 7))
+    full, rem = divmod(hi - lo, S)
+    items = full + (rem > 0)
+    chunk = 1 << max(0, min(_ROW // len(zs), _SITES // S).bit_length() - 1)
+    zmax = float(np.abs(zs).max())
+
+    def totals(first, count, steps):
+        """Normalised totals of ``count`` sub-blocks of ``steps`` sites
+        from site ``first``, as (2, 2, lanes, count)."""
+        vals = site_values(first, first + count * steps)
+        rows = np.subtract(zcol, vals.reshape(count, steps).T[:, None, :])
+        every = _rescale_every(zmax + float(np.abs(vals).max()))
+        a, b, c, d, _ = block_totals(rows, rows.shape[1:], complex, every)
+        return _normalized(np.array([[a, b], [c, d]]))
+
+    firsts, roots = [], []
+    for i0 in range(0, items, chunk):
+        i1 = min(i0 + chunk, items)
+        parts = []
+        if min(i1, full) > i0:
+            parts.append(totals(lo + i0 * S, min(i1, full) - i0, S))
+        if i1 > full:  # the short last sub-block
+            parts.append(totals(lo + full * S, 1, rem))
+        nodes = _fold(np.concatenate(parts, axis=-1))
+        if not i0:
+            firsts = nodes[:-1]
+        roots.append(nodes[-1])
+    nodes = firsts + _fold(np.stack(roots, axis=-1))
+    return np.minimum(S << np.arange(len(nodes)), hi - lo), nodes
 
 
-def _halfline_m(z, site_values, tol, depth_cap):
-    """Backward coefficient-stripping recursion with two-seed control.
+def _halfline_m(zs, site_values, tol, depth_cap):
+    """Backward coefficient-stripping recursion with two-seed control,
+    for every lane z in ``zs`` along one walk of the sites.
 
     ``site_values(lo, hi)`` must return the potential at sites lo..hi-1
-    (1-based).  Returns (m, est_error, depth).
+    (1-based).  All lanes share the depth schedule 64, 128, ...,
+    ``depth_cap``; each retires at the first depth where its seeds agree.
+    The first walk reaches about the depth the deepest lane needs, up to
+    ``_FIRST``, and its depths are checked on the prefix nodes of one
+    fold, which are bit for bit the products the doubling would form.
+    Returns (m, est_error, depth) arrays, one entry per lane.
     """
-    z = _require_upper(z)
+    zs = np.array([_require_upper(z) for z in zs], dtype=complex)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if depth_cap < 1:
         raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
-    P, Q, R, S = 1.0, 0.0, 0.0, 1.0
+    m_out = np.empty(len(zs), dtype=complex)
+    est_out = np.empty(len(zs))
+    depth_out = np.empty(len(zs), dtype=np.int64)
+    live = np.arange(len(zs))
+    # x = T_done ... T_1 of each live lane as a (2, 2, lanes) stack; in the
+    # orientation of the Moebius recursion it is [[d, b], [c, a]]
+    x = None
     done, depth = 0, 64
-    while True:
-        p, q, r, s = _block_product(z, site_values, done + 1, depth + 1)
-        P, Q, R, S = P * p + Q * r, P * q + Q * s, R * p + S * r, R * q + S * s
-        scale = max(abs(P), abs(Q), abs(R), abs(S))
-        P, Q, R, S = P / scale, Q / scale, R / scale, S / scale
-        m1 = (P * 1j + Q) / (R * 1j + S)
-        m2 = (P * 2j + Q) / (R * 2j + S)
-        est = abs(m1 - m2)
-        if est <= tol:
-            return m1, est, depth
-        if not math.isfinite(est):
-            raise NoConvergence(f"m-function at z={z}: seed residual is not finite "
-                                f"at depth {depth} (non-finite potential values?)")
-        if depth >= depth_cap:
-            raise NoConvergence(
-                f"m-function at z={z} not seed-independent within depth cap {depth_cap} "
-                f"(residual {est:.3e}, tol {tol:.3e})"
-            )
-        done, depth = depth, min(2 * depth, depth_cap)
+    # the first fold reaches about the depth the deepest lane needs, ~ln(1/tol) / Im z:
+    # up to _FIRST, a walk too deep costs less than one more walk
+    reach = min(_FIRST, depth_cap, -math.log(tol) / zs.imag.min()) if len(zs) else 0
+    while depth * 2 <= reach:
+        depth *= 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        while len(live):
+            sizes, nodes = _block_products(zs[live], site_values, done + 1, depth + 1)
+            if x is None:  # checks at 64, 128, ..., depth
+                depths = sizes[sizes >= 64]
+                xs = np.stack(nodes[-len(depths):], axis=2)
+            else:
+                depths = np.array([depth])
+                xs = _normalized(_mul(nodes[-1], x))[:, :, None]
+            (a, b), (c, d) = xs
+            m1 = (d * 1j + b) / (c * 1j + a)
+            est = np.abs(m1 - (d * 2j + b) / (c * 2j + a))
+            ok = est <= tol
+            stop = ok | ~np.isfinite(est)
+            at = np.argmax(stop, axis=0)  # the first check that settles each lane
+            lane = np.arange(len(live))
+            bad = stop[at, lane] & ~ok[at, lane]
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NoConvergence(
+                    f"m-function at z={complex(zs[live[i]])}: seed residual is not "
+                    f"finite at depth {depths[at[i]]} (non-finite potential values?)")
+            ok = ok[at, lane]
+            if depth >= depth_cap and not ok.all():
+                i = int(np.argmin(ok))
+                raise NoConvergence(
+                    f"m-function at z={complex(zs[live[i]])} not seed-independent within "
+                    f"depth cap {depth_cap} (residual {est[-1, i]:.3e}, tol {tol:.3e})")
+            settled = live[ok]
+            m_out[settled] = m1[at[ok], lane[ok]]
+            est_out[settled] = est[at[ok], lane[ok]]
+            depth_out[settled] = depths[at[ok]]
+            live, x = live[~ok], xs[:, :, -1, ~ok]
+            done, depth = depth, min(2 * depth, depth_cap)
+    return m_out, est_out, depth_out
 
 
 def m_plus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
@@ -189,9 +286,17 @@ def m_plus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     depth_cap : recursion depth cap; exceeded depth raises NoConvergence.
     full_output : also return (est_error, depth).
     """
-    sites = lambda lo, hi: v(orbit(theta, alpha, lo, hi))
-    m, est, depth = _halfline_m(z, sites, tol, depth_cap)
+    m, est, depth = m_plus_lanes([z], v, alpha, theta, tol, depth_cap)
+    m, est, depth = complex(m[0]), float(est[0]), int(depth[0])
     return (m, est, depth) if full_output else m
+
+
+def m_plus_lanes(zs, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
+                 depth_cap: int = DEPTH_CAP_DEFAULT):
+    """``m_plus`` at every z in ``zs`` along one walk of the sites: each
+    site is sampled once for all of them, and each value equals its own
+    ``m_plus`` bit for bit.  Returns (m, est_error, depth) arrays."""
+    return _halfline_m(zs, lambda lo, hi: v(orbit(theta, alpha, lo, hi)), tol, depth_cap)
 
 
 def m_minus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
@@ -202,7 +307,8 @@ def m_minus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     equals -u_{-1}/u_0 for the l2(-oo) solution u of H u = z u.
     """
     sites = lambda lo, hi: v(orbit(theta, -alpha, lo, hi))
-    m, est, depth = _halfline_m(z, sites, tol, depth_cap)
+    m, est, depth = _halfline_m([z], sites, tol, depth_cap)
+    m, est, depth = complex(m[0]), float(est[0]), int(depth[0])
     return (m, est, depth) if full_output else m
 
 

@@ -197,6 +197,16 @@ class TestExitCodes:
         assert "invalid configuration" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_mfunction_points_below_one_is_2(self, tmp_path, capsys, points):
+        out = tmp_path / "m.csv"
+        rc = main(["mfunction", "--potential", "amo", "--lambda", "0.5", "--e", "0.0",
+                   "--points", points, "--out", str(out)])
+        assert rc == 2
+        assert "--points must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "m.csv.manifest.json").exists()
+
     def test_empty_grid_is_2(self, tmp_path, capsys):
         rc = main(["ids", "--e-min", "-1", "--e-max", "1", "--e-points", "0",
                    "--size", "200", "--out", str(tmp_path / "i.csv")])

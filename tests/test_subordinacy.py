@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+from quasispec import subordinacy
 from quasispec.arithmetic import resolve_alpha
-from quasispec.cocycle import Potential, solution
+from quasispec.cocycle import Potential, solution, solution_norm_sq_batch
 from quasispec.subordinacy import (
     JL_LOWER,
     JL_UPPER,
@@ -20,7 +21,7 @@ from quasispec.subordinacy import (
     p_matrix,
     profile,
 )
-from quasispec.weyl import NoConvergence
+from quasispec.weyl import NoConvergence, m_plus, rotate_beta
 
 ALPHA = resolve_alpha("golden", 40).alpha
 FREE = Potential.zero()
@@ -246,6 +247,29 @@ class TestBracketCheck:
                                    tol=1e-9)
             assert rec.scale_residual < 1e-8
             assert rec.in_bracket and rec.kkl_in_bracket
+
+    def test_two_solution_passes(self, monkeypatch):
+        # the scale equation's two norms are the bracket's numerator and
+        # denominator, so one call runs the two solution recurrences once
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solution_norm_sq_batch(*args)
+
+        monkeypatch.setattr(subordinacy, "solution_norm_sq_batch", counted)
+        E, theta, beta, k = 0.0, 0.37, 1.1, 30
+        rec = jl_bracket_check(E, AMO, ALPHA, theta, beta, k, tol=1e-9)
+        assert len(calls) == 2
+        # each norm from its own pass with the boundary pair from math.sin
+        # and math.cos, as the bracket defines it: the same bits
+        u0, u1 = -math.sin(beta), math.cos(beta)
+        nb = math.sqrt(float(solution_norm_sq_batch(
+            np.array([u0]), np.array([u1]), E, AMO, ALPHA, theta, 2 * k)[0]))
+        nbp = math.sqrt(float(solution_norm_sq_batch(
+            np.array([-u1]), np.array([u0]), E, AMO, ALPHA, theta, 2 * k)[0]))
+        m = m_plus(complex(E, rec.eps), AMO, ALPHA, theta, 1e-9)
+        assert rec.value == abs(rotate_beta(m, beta)) * nb / nbp
 
 
 def test_default_k_list():

@@ -265,12 +265,49 @@ class TestErrors:
         assert depth >= 64
 
 
-class TestTreeChunking:
-    def test_chunk_size_does_not_change_values(self, monkeypatch):
-        # power-of-two blocks split into aligned chunks keep the balanced
-        # tree's association, so the chunk size changes no bit of m
+class TestLanes:
+    def test_each_lane_equals_its_own_walk(self):
+        # 40 lanes cut the deep blocks into chunks of 16 sub-blocks where
+        # one lane takes 512: each lane's m, est and depth must still be
+        # bit for bit those of its own single-z walk; depths run from 64
+        # to past the first fold, and the cap cuts the last block short
         v = Potential.amo(0.5)
-        z = complex(0.1, 2e-3)
-        ref = m_plus(z, v, ALPHA, 0.4, 1e-9, full_output=True)
-        monkeypatch.setattr(weyl, "_CHUNK", 64)
-        assert m_plus(z, v, ALPHA, 0.4, 1e-9, full_output=True) == ref
+        eps = np.geomspace(2e-4, 0.5, 39)
+        zs = [complex(E, e) for E, e in zip(np.linspace(-2.0, 2.0, 39), eps)]
+        zs.append(zs[5])  # a repeated z
+        m, est, depth = weyl.m_plus_lanes(zs, v, ALPHA, 0.4, 1e-9, depth_cap=150000)
+        assert depth.min() == 64 and depth.max() > 8192
+        for z, *lane in zip(zs, m, est, depth):
+            assert m_plus(z, v, ALPHA, 0.4, 1e-9, 150000, full_output=True) == tuple(lane)
+
+    def test_truncated_last_block(self):
+        # a cap that is no power of two leaves a block of 3808 sites, cut
+        # into sub-blocks with a short last one
+        v = Potential.amo(0.5)
+        zs = [complex(0.0, 1.2e-3), complex(0.2, 1.2e-3), complex(0.3, 2e-3), complex(-0.7, 2e-3)]
+        m, est, depth = weyl.m_plus_lanes(zs, v, ALPHA, 0.1, 1e-9, depth_cap=12000)
+        assert 12000 in depth
+        for z, *lane in zip(zs, m, est, depth):
+            assert m_plus(z, v, ALPHA, 0.1, 1e-9, 12000, full_output=True) == tuple(lane)
+
+    def test_no_lanes(self):
+        m, est, depth = weyl.m_plus_lanes([], FREE, ALPHA, 0.0)
+        assert len(m) == len(est) == len(depth) == 0
+
+
+class TestHugeCoupling:
+    @pytest.mark.parametrize("lam", [1e9, 1e12])
+    def test_finite_and_against_linear_solve(self, lam):
+        # |z - v| near 2 lam: 32 unscaled companion steps would overflow
+        v = Potential.amo(lam)
+        z = complex(0.3, 0.01)
+        for m_fn, box_fn in ((m_plus, box_m_plus), (m_minus, box_m_minus)):
+            m, est, depth = m_fn(z, v, ALPHA, 0.21, 1e-8, full_output=True)
+            assert cmath.isfinite(m) and m.imag > 0
+            ref = box_fn(z, v, ALPHA, 0.21, 200)
+            assert abs(m - ref) / abs(ref) < 1e-9
+
+    def test_finite_at_any_finite_size(self):
+        v = Potential.amo(1e150)
+        m, est, depth = m_plus(complex(0.3, 0.01), v, ALPHA, 0.21, 1e-8, full_output=True)
+        assert cmath.isfinite(m) and est <= 1e-8 and depth == 64
