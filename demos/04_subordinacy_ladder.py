@@ -4,8 +4,9 @@
 P_(k) sums A*_{2j-1} A_{2j-1}; its determinant fixes the scale
 eps_k = (4 det)^{-1/2}, and the ratio psi(m+(E+i eps_k))/(2 eps_k ||P_(k)||)
 is pinched between 1/C and C with C = 5 + sqrt(24) ~ 9.899.  The
-determinant has an independent oracle: the infimum over boundary
-conditions of ||u^b||^2 ||u^{b+pi/2}||^2.
+determinant is a Cauchy-Binet sum of squared Dirichlet solutions
+("cb-det" below), and has an independent oracle: the infimum over
+boundary conditions of ||u^b||^2 ||u^{b+pi/2}||^2.
 """
 
 from quasispec import Potential, det_via_beta_scan, jl_bracket_check, p_matrix, profile, resolve_alpha
@@ -18,7 +19,7 @@ print("det P_(k) against the beta-scan oracle (E = 0.4, x = 0.11):")
 for k in (1, 5, 20, 50):
     d1 = p_matrix(0.4, v, alpha, 0.11, k).det
     d2 = det_via_beta_scan(0.4, v, alpha, 0.11, k)
-    print(f"  k = {k:3d}:  qr-det = {d1:14.6e}   beta-scan = {d2:14.6e}   rel {abs(d1 - d2) / d1:.1e}")
+    print(f"  k = {k:3d}:  cb-det = {d1:14.6e}   beta-scan = {d2:14.6e}   rel {abs(d1 - d2) / d1:.1e}")
 
 print(f"\nsubordinacy profile at E = 0 (bracket ({JL_LOWER:.3f}, {JL_UPPER:.3f})):")
 prof = profile(0.0, v, alpha, 0.0, default_k_list(2000), tol=1e-7)

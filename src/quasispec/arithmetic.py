@@ -283,16 +283,3 @@ def repulsion_exponent(pairs: Sequence[tuple[int, int, float]]) -> float:
     ys = np.array([math.log(n) for _, n, _ in pairs])
     return float(np.polyfit(xs, ys, 1)[0])
 
-
-def check_best_approximation(freq: Frequency, n: int) -> bool:
-    """Exhaustively verify ||q_n alpha|| = inf_{1<=k<q_{n+1}} ||k alpha||.
-
-    Only feasible for q_{n+1} <= ~1e5; used by the test suite.
-    """
-    qs = freq.denominators
-    qn, qnext = qs[n], qs[n + 1]
-    if qnext > 10**5:
-        raise ValueError("q_{n+1} too large for exhaustive scan")
-    with mpmath.workdps(working_dps(len(qs))):
-        best = min(_torus_norm_mp(k * freq.value) for k in range(1, qnext))
-        return best == _torus_norm_mp(qn * freq.value)

@@ -168,9 +168,6 @@ def _add_common(p, potential=True, energy=True):
     p.add_argument("--tol", type=float, default=1e-8, help="m-function tolerance")
     p.add_argument("--out", default=None, help="output path ('-' = stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the phases of 'ids --method phase-average' "
-                        "(output is independent of it); other commands ignore it")
     p.add_argument("--gnuplot-stub", action="store_true",
                    help="emit a ready-to-run gnuplot script next to the data file")
     p.add_argument("--depth-cap", type=int, default=10**7,
@@ -371,8 +368,7 @@ def run(args) -> int:
             v = _potential_from_args(args)
             grid = _energy_grid(args)
             method = args.method.replace("-", "_")
-            table = ids(v, alpha, grid, method, args.size, args.theta, args.phases,
-                        threads=args.threads)
+            table = ids(v, alpha, grid, method, args.size, args.theta, args.phases)
             header = ["E", "N"]
             rows = [[float(a), float(b)] for a, b in zip(table.energies, table.N_values)]
             write_rows(args.out, header, rows, args.format)

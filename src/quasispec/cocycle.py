@@ -129,11 +129,6 @@ def iterate(z, v: Potential, alpha: float, x: float, n: int) -> tuple[np.ndarray
     return np.array([[a, b], [c, d]]) / nrm, float(ex * LN2 + np.log(nrm))
 
 
-def product_log_det(mat: np.ndarray, log_scale: float) -> float:
-    """log |det| of the unscaled product exp(log_scale)*mat."""
-    return math.log(abs(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])) + 2 * log_scale
-
-
 def _phase_batch(x0: float, alpha: float, count: int, grid: str) -> np.ndarray:
     if grid == "orbit":
         return orbit(x0, alpha, 0, count)

@@ -143,8 +143,7 @@ class IdsTable:
 
 
 def ids(v: Potential, alpha: float, E_grid, method: str = "finite_box",
-        size: int = 3000, theta: float = 0.0, phases: int = 64,
-        threads: int = 1) -> IdsTable:
+        size: int = 3000, theta: float = 0.0, phases: int = 64) -> IdsTable:
     """Integrated density of states N(E) on a grid.
 
     ``finite_box`` counts eigenvalues of the size x size truncation with
@@ -176,14 +175,7 @@ def ids(v: Potential, alpha: float, E_grid, method: str = "finite_box",
             idx = np.searchsorted(w, E, side="right")
             return cum[idx]
 
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(one_phase, range(phases)))
-        else:
-            parts = [one_phase(j) for j in range(phases)]
-        N = np.sum(parts, axis=0) / phases
+        N = np.sum([one_phase(j) for j in range(phases)], axis=0) / phases
         return IdsTable(energies=E, N_values=N, method=method, size=size)
     raise ValueError("method must be 'finite_box' or 'phase_average'")
 

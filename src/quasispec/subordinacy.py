@@ -20,24 +20,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import Potential, block_totals, orbit, solution_norm_sq_batch
-from .weyl import DEPTH_CAP_DEFAULT, m_plus, m_plus_lanes, psi, rotate_beta
+from .cocycle import LN2, RESCALE_EVERY, Potential, orbit, solution_norm_sq_batch
+from .weyl import DEPTH_CAP_DEFAULT, m_plus_lanes, psi, rotate_beta
 
 JL_UPPER = 5.0 + math.sqrt(24.0)
 JL_LOWER = 5.0 - math.sqrt(24.0)
 KKL_UPPER = 2.0 + math.sqrt(3.0)
 KKL_LOWER = 2.0 - math.sqrt(3.0)
+_SITES = 1 << 14  # sites sampled at a time into the ladder's step table
 
 
 @dataclass(frozen=True)
 class PMatrix:
     """Positive matrix controlling solution growth up to length 2k.
 
-    The determinant is carried in log form from the R factor of the
-    stacked odd-iterate rows (see ``_p_entries_upto``), which avoids the
-    cancellation of the entrywise formula on ``entries``.  It is not
-    exact past cond(P) ~ 1e12: the rounded rows have already lost the
-    contracting direction there, the limit ``det_via_beta_scan`` states.
+    The determinant is carried in log form from its Cauchy-Binet sum of
+    squared Dirichlet solutions (see ``_p_entries_upto``): every term is
+    non-negative, so it stays exact to rounding where cond(P) is far past
+    1/eps_mach and the entrywise p11 p22 - p12^2 has lost every digit.
+    ``det`` is inf past the float range; ``log_det`` stays finite.
     """
 
     k: int
@@ -80,73 +81,75 @@ def _herm_eigs(m: np.ndarray) -> tuple[float, float]:
 
 def _exp(x: float) -> float:
     """exp(x), inf where it is past the float range (det P_(k) passes
-    1e308 long before the transfer-matrix guard trips)."""
+    1e308 before the entries of P_(k) do)."""
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
 
 
-_GUARD = 1e120  # transfer-matrix entries past this raise OverflowError
+def _fold(state, blk):
+    """Apply one block to the fold state of ``_p_entries_upto``.
 
-
-def _givens(r11, r12, r22, u, w):
-    """Fold the row (u, w) into the triangular factor [[r11, r12], [0, r22]]
-    with one Givens rotation; needs r11 > 0 or u != 0."""
-    r = np.hypot(r11, u)
-    cs, sn = r11 / r, u / r
-    return r, cs * r12 + sn * w, np.hypot(r22, cs * w - sn * r12)
-
-
-def _merge_r(acc, new):
-    """TSQR merge: the R factor of the stacked pair [R_acc; R_new].
-
-    A factor is (r11, r12, r22, e), its true entries scaled by 2**-e; the
-    factor with the smaller exponent is brought to the larger one first,
-    then the two rows of R_new are folded in.  Needs r11 > 0 in one of
-    the two."""
-    r11, r12, r22, ea = acc
-    s11, s12, s22, eb = new
-    e = max(ea, eb)
-    fa, fb = math.ldexp(1.0, ea - e), math.ldexp(1.0, eb - e)
-    r = _givens(r11 * fa, r12 * fa, r22 * fa, s11 * fb, s12 * fb)
-    return (*_givens(*r, 0.0, s22 * fb), e)
+    The state is (a, b, c, d, e, p11, p12, p22, m11, m12, m22, q): the
+    transfer product A = 2**e [[a, b], [c, d]], normalised, and P, M and
+    q = det P in units of 4**e.  The block is (fa, fb, fc, fd, w11, w12,
+    w22, c11, c12, c22, s, f): its product 2**f Phi and its W, C and s in
+    units of 4**f.  Returns the state after the block."""
+    a, b, c, d, e, p11, p12, p22, m11, m12, m22, q = state
+    fa, fb, fc, fd, w11, w12, w22, c11, c12, c22, s, f = blk
+    # in units of 4**(e + f): P += A^T W A and q += <M, W> + s
+    ap, cp = a * w11 + c * w12, a * w12 + c * w22
+    bp, dp = b * w11 + d * w12, b * w12 + d * w22
+    p11 = math.ldexp(p11, -2 * f) + (a * ap + c * cp)
+    p12 = math.ldexp(p12, -2 * f) + (b * ap + d * cp)
+    p22 = math.ldexp(p22, -2 * f) + (b * bp + d * dp)
+    q = (math.ldexp(q, -2 * f) + (m11 * w11 + 2.0 * m12 * w12 + m22 * w22)
+         + math.ldexp(s, -2 * e))
+    # M <- Phi M Phi^T + C and A <- Phi A
+    u1, u2 = fa * m11 + fb * m12, fa * m12 + fb * m22
+    v1, v2 = fc * m11 + fd * m12, fc * m12 + fd * m22
+    m11 = fa * u1 + fb * u2 + math.ldexp(c11, -2 * e)
+    m12 = fc * u1 + fd * u2 + math.ldexp(c12, -2 * e)
+    m22 = fc * v1 + fd * v2 + math.ldexp(c22, -2 * e)
+    a, b, c, d = fa * a + fb * c, fa * b + fb * d, fc * a + fd * c, fc * b + fd * d
+    # renormalise A, by a power of two
+    g = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    g2 = -2 * g
+    return (math.ldexp(a, -g), math.ldexp(b, -g), math.ldexp(c, -g), math.ldexp(d, -g),
+            e + f + g, math.ldexp(p11, g2), math.ldexp(p12, g2), math.ldexp(p22, g2),
+            math.ldexp(m11, g2), math.ldexp(m12, g2), math.ldexp(m22, g2), math.ldexp(q, g2))
 
 
 def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
     """One cumulative pass of transfer steps from phase x+alpha, sampling
     (p11, p12, p22, log_det) at each requested k.
 
-    P_(k) = G^T G for the 2k x 2 stack G of the odd-iterate rows of
-    A_j = T_j ... T_1, T_j = [[E - v(x + j alpha), -1], [1, 0]], and
-    det P = (r11 r22)^2 from the R factor of G: the entrywise
-    p11*p22 - p12^2 loses all digits once cond(P) passes 1/eps_mach.
-    The QR removes that cancellation but not the rounding already in the
-    rows: past cond(P_(k)) ~ 1e12 (hyperbolic energies, 4 L(E) k beyond
-    ~28) the rounded A_j have lost the contracting direction and log_det
-    can be far off -- at AMO lambda=0.5, golden alpha, E=0.7, x=0.21,
-    k=418 it reads about 790 where a 400-digit recurrence gives 433.3.
-    This is the limit ``det_via_beta_scan`` states.
+    With T_j = [[E - v(x + j alpha), -1], [1, 0]], A_j = T_j ... T_1 and
+    the rows r_j = e1^T A_j, P_(k) = sum_{j=0}^{2k-1} r_j^T r_j (the
+    second row of A_j is r_{j-1}).  By Cauchy-Binet its determinant is
+    sum_{i<j} (r_i x r_j)^2, and r_i x r_j is the Dirichlet solution
+    started at i and read at j (Teschl, Jacobi Operators, ch. 1), so
 
-    The J = 2 k_max - 1 steps run as a two-level blocked scan over B
-    blocks of even length S ~ sqrt(J), so no Python loop is longer than
-    about sqrt(J):
+        det P_(k) = sum_{j=0}^{2k-1} (M_j)_11,
+        M_j = T_j (M_{j-1} + e2 e2^T) T_j^T,  M_0 = 0,
 
-    1. block totals, vectorised across blocks and rescaled by powers of
-       two (exact), from ``cocycle.block_totals``; the exponents are the
-       log scale;
-    2. a scalar fold of the totals gives each block's starting matrix,
-       normalised, with its exponent;
-    3. from those starts, vectorised across blocks: the in-block sums of
-       the odd iterates' A^T A, the in-block R factor of their rows
-       (Givens), the guard, and snapshots at each requested k.  Before the
-       first entry past the guard no in-block value exceeds ~2e120, so
-       this pass needs no rescaling;
-    4. a scalar pass adds the block sums and merges the R factors
-       TSQR-style (Demmel et al., arXiv:0808.2664), in log-scaled form.
+    a sum of non-negative terms: no QR and no cancellation, and exact to
+    rounding where cond(P) is far past 1/eps_mach.
 
-    Raises OverflowError at the first step j >= 2 where an entry of A_j
-    exceeds 1e120.
+    The J = 2 k_max - 1 steps, their site energies sampled ``_SITES`` at
+    a time, run as B blocks of S ~ sqrt(J) steps, vectorised across
+    blocks, each from the identity.  A block carries its product Phi,
+    W = sum_t r_t^T r_t over the top rows r_t of its partial products
+    Phi_t, C (the M recurrence from 0) and s = sum_t (C_t)_11, all
+    rescaled by powers of two every ``RESCALE_EVERY`` steps.  A scalar
+    fold over the blocks (``_fold``) then applies P += A^T W A,
+    det += <M, W> + s, M <- Phi M Phi^T + C and A <- Phi A; each
+    requested k is one more fold step, from the start of its block, with
+    the block's values at step 2k - 1.
+
+    Raises OverflowError, naming k, where an entry of P_(k) passes the
+    float range (its log det is finite long after that).
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -154,77 +157,71 @@ def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
     if ks[0] < 1:
         raise ValueError("k must be >= 1")
     J = 2 * ks[-1] - 1
-    S = 2 * max(1, round(math.sqrt(J) / 2))
+    S = max(1, round(math.sqrt(J)))
     B = -(-J // S)
-    es = np.zeros(B * S)  # steps past J are padding, never read back
-    es[:J] = E - np.asarray(v(orbit(x, alpha, 1, J + 1)), dtype=float)
-    steps = es.reshape(B, S).T.copy()  # steps[t, i]: step j = i S + t + 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # 1. block totals
-        a, b, c, d, tex = block_totals(steps, (B,))
-        # 2. block starts: A_0 = I, A_{(i+1) S} = total_i A_{i S}
-        starts = [(1.0, 0.0, 0.0, 1.0)]
-        sx = [0]
-        for ta, tb, tc, td, te in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
-                                      tex.tolist()[:B - 1]):
-            pa, pb, pc, pd = starts[-1]
-            na, nb = ta * pa + tb * pc, ta * pb + tb * pd
-            nc, nd = tc * pa + td * pc, tc * pb + td * pd
-            _, ex = math.frexp(max(abs(na), abs(nb), abs(nc), abs(nd)))
-            f = math.ldexp(1.0, -ex)
-            starts.append((na * f, nb * f, nc * f, nd * f))
-            sx.append(sx[-1] + te + ex)
-        # 3. in-block sums, R factors, guard and snapshots
-        a, b, c, d = np.array(starts).T
-        thr = np.ldexp(_GUARD, -np.array(sx))
-        over = np.empty((S, B), dtype=bool)
-        want: dict[int, list] = {}
-        for k in ks:
-            want.setdefault((2 * k - 2) % S, []).append((k, (2 * k - 2) // S))
-        p11 = p12 = p22 = np.zeros(B)
-        snap = {}
+    steps = np.empty((S, B))  # steps[t, i]: step j = i S + t + 1; past J never read back
+    per = max(1, _SITES // S)
+    for i in range(0, B, per):
+        n = min(per, B - i)
+        steps[:, i:i + n] = (E - v(orbit(x, alpha, i * S + 1, (i + n) * S + 1))).reshape(n, S).T
+    want: dict[int, list] = {}
+    for k in ks:
+        want.setdefault((2 * k - 2) % S, []).append(k)
+    rows = np.zeros((2, 2, B))  # the rows of Phi: rows[0] = (a, b), rows[1] = (c, d)
+    rows[0, 0] = rows[1, 1] = 1.0
+    w = np.zeros((3, B))  # (w11, w12, w22)
+    sq = np.empty((3, B))
+    c11, c12, c22, s = np.zeros(B), np.zeros(B), np.zeros(B), np.zeros(B)
+    unit = np.ones(B)  # e2 e2^T in units of 4**ex
+    ex = np.zeros(B, dtype=np.int64)
+    top, bot = rows
+    snap = {}
+
+    def values():
+        """Every block's Phi, W, C and s, as an (11, B) array."""
+        return np.vstack((top, bot, w, c11, c12, c22, s))
+
+    with np.errstate(over="ignore", invalid="ignore"):
         for t, e in enumerate(steps):
-            a, b, c, d = e * a - c, e * b - d, a, b
-            np.greater(np.maximum(np.abs(a), np.abs(b)), thr, out=over[t])
-            if t % 2:
-                continue
-            p11 = p11 + (a * a + c * c)
-            p12 = p12 + (a * b + c * d)
-            p22 = p22 + (b * b + d * d)
-            if t == 0:  # first row into an empty factor, as _givens with r = 0
-                r11, r12, r22 = np.abs(a), np.sign(a) * b, np.where(a == 0, np.abs(b), 0.0)
-            else:
-                r11, r12, r22 = _givens(r11, r12, r22, a, b)
-            r11, r12, r22 = _givens(r11, r12, r22, c, d)
-            for k, i in want.get(t, ()):
-                snap[k] = (i, p11[i], p12[i], p22[i], r11[i], r12[i], r22[i])
-    # only the first row is checked: the second row of A_j is the first of
-    # A_{j-1}; a hit at j = 1 counts at j = 2, the first step whose A_j holds it
-    hit = over.T.ravel()[:J]
-    if hit.any():
-        step = max(int(np.argmax(hit)) + 1, 2)
-        if step <= J:
-            raise OverflowError(
-                f"transfer matrices exceed 1e120 at step {step}; energy {E} looks hyperbolic")
-    # 4. prefix over blocks
+            # Phi <- T Phi: the new top row e (a, b) - (c, d) over the old bottom one
+            np.multiply(e, top, out=sq[:2])
+            np.subtract(sq[:2], bot, out=bot)
+            top, bot = bot, top
+            u = e * c11 - c12  # C <- T (C + e2 e2^T) T^T
+            c11, c12, c22 = e * (u - c12) + c22 + unit, u, c11
+            np.multiply(top, top[0], out=sq[:2])
+            np.multiply(top[1], top[1], out=sq[2])
+            w += sq
+            s += c11
+            if t % RESCALE_EVERY == RESCALE_EVERY - 1:
+                g = np.frexp(np.abs(np.concatenate((top, bot))).max(axis=0))[1]
+                np.ldexp(rows, -g, out=rows)
+                for m in (w, c11, c12, c22, s, unit):
+                    np.ldexp(m, -2 * g, out=m)
+                ex += g
+            for k in want.get(t, ()):
+                i = (2 * k - 2) // S
+                snap[k] = (*values()[:, i].tolist(), int(ex[i]))
+    totals = [(*col, f) for col, f in zip(values().T.tolist(), ex.tolist())]
+    state = (1.0, 0.0, 0.0, 1.0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # j = 0: P = e1 e1^T
     out = {}
-    q11 = q12 = q22 = 0.0
-    acc = (0.0, 0.0, 0.0, 0)
     done = 0
     for k in ks:
-        i, s11, s12, s22, t11, t12, t22 = snap[k]
+        i = (2 * k - 2) // S  # the block of step 2k - 1
         for j in range(done, i):
-            two = 2 * sx[j]
-            q11 += math.ldexp(p11[j], two)
-            q12 += math.ldexp(p12[j], two)
-            q22 += math.ldexp(p22[j], two)
-            acc = _merge_r(acc, (float(r11[j]), float(r12[j]), float(r22[j]), sx[j]))
+            state = _fold(state, totals[j])
         done = i
-        two = 2 * sx[i]
-        rk = _merge_r(acc, (float(t11), float(t12), float(t22), sx[i]))
-        out[k] = (q11 + math.ldexp(s11, two), q12 + math.ldexp(s12, two),
-                  q22 + math.ldexp(s22, two),
-                  2.0 * (math.log(rk[0]) + math.log(rk[2])) + 4.0 * rk[3] * math.log(2.0))
+        end = _fold(state, snap[k])
+        e, p11, p12, p22, q = end[4], *end[5:8], end[11]
+        try:
+            entry = (*(math.ldexp(t, 2 * e) for t in (p11, p12, p22)),
+                     math.log(q) + 2 * e * LN2)
+        except (OverflowError, ValueError):  # past the float range, or q <= 0
+            entry = (math.inf,)
+        if not all(map(math.isfinite, entry)):
+            raise OverflowError(f"P_(k) entries pass the float range at k = {k}; "
+                                f"energy {E} looks hyperbolic")
+        out[k] = entry
     return out
 
 
@@ -404,7 +401,8 @@ def jl_bracket_check(E: float, v: Potential, alpha: float, theta: float,
 
     The scale equation is solved for eps by monotone bisection (the left
     side is fixed, the right side varies).  The kkl variant evaluates
-    psi(m+)/(eps ||P_(k)||) at the scale det P_(k) = 1/eps^2.
+    psi(m+)/(eps ||P_(k)||) at the scale det P_(k) = 1/eps^2.  Both m+
+    values are lanes of one walk (``weyl.m_plus_lanes``).
     """
     L = 2 * k
     s1, s2 = _beta_norms(np.array([beta]), E, v, alpha, theta, L)
@@ -422,15 +420,16 @@ def jl_bracket_check(E: float, v: Potential, alpha: float, theta: float,
     eps = 0.5 * (lo + hi)
     scale_residual = abs(2.0 * eps * X - 1.0)
 
+    pm = p_matrix(E, v, alpha, theta, k)
+    kkl_eps = math.exp(-0.5 * pm.log_det)
+    (mp_val, mp2), _, _ = m_plus_lanes([complex(E, eps), complex(E, kkl_eps)], v, alpha,
+                                       theta, tol)
+
     nb, nbp = math.sqrt(float(s1[0])), math.sqrt(float(s2[0]))
-    mp_val = m_plus(complex(E, eps), v, alpha, theta, tol)
-    value = abs(rotate_beta(mp_val, beta)) * nb / nbp
+    value = abs(rotate_beta(complex(mp_val), beta)) * nb / nbp
     in_bracket = JL_LOWER * (1 - slack) < value < JL_UPPER * (1 + slack)
 
-    pm = p_matrix(E, v, alpha, theta, k)
-    kkl_eps = 1.0 / math.sqrt(pm.det)
-    mp2 = m_plus(complex(E, kkl_eps), v, alpha, theta, tol)
-    kkl_value = psi(mp2) / (kkl_eps * pm.norm)
+    kkl_value = psi(complex(mp2)) / (kkl_eps * pm.norm)
     kkl_in = KKL_LOWER * (1 - slack) < kkl_value < KKL_UPPER * (1 + slack)
 
     return BracketRecord(E=float(E), beta=float(beta), k=int(k), eps=eps,

@@ -18,7 +18,7 @@ mod 1.  The N steps are the Moebius action of the product of the step
 matrices [[0, -1], [1, z - v_n]], which is [[d, b], [c, a]] for the
 companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n = [[z - v_n,
 -1], [1, 0]]: the same 2x2 kernel, ``cocycle.block_totals``, as the
-Sturm counts, the Lyapunov products, the P-ladder and ``iterate``.
+Sturm counts, the Lyapunov products and ``iterate``.
 
 One walk serves many z ("lanes", ``m_plus_lanes``): ``subordinacy.profile``
 runs every kept eps_k of a ladder in it.  The depth doubles from 64
@@ -216,7 +216,9 @@ def _halfline_m(zs, site_values, tol, depth_cap):
     The first walk reaches about the depth the deepest lane needs, up to
     ``_FIRST``, and its depths are checked on the prefix nodes of one
     fold, which are bit for bit the products the doubling would form.
-    Returns (m, est_error, depth) arrays, one entry per lane.
+    Returns (m, est_error, depth) arrays, one entry per lane.  A settled
+    value with Im m <= 0 (Im z so small that rounding took it) raises
+    NoConvergence naming z.
     """
     zs = np.array([_require_upper(z) for z in zs], dtype=complex)
     if not tol > 0:
@@ -265,7 +267,14 @@ def _halfline_m(zs, site_values, tol, depth_cap):
                     f"m-function at z={complex(zs[live[i]])} not seed-independent within "
                     f"depth cap {depth_cap} (residual {est[-1, i]:.3e}, tol {tol:.3e})")
             settled = live[ok]
-            m_out[settled] = m1[at[ok], lane[ok]]
+            m_set = m1[at[ok], lane[ok]]
+            if (m_set.imag <= 0).any():
+                i = int(np.argmax(m_set.imag <= 0))
+                raise NoConvergence(
+                    f"m-function at z={complex(zs[settled[i]])}: the value {complex(m_set[i])} "
+                    f"at depth {depths[at[ok][i]]} has lost its imaginary part to rounding "
+                    "(Im z is too small)")
+            m_out[settled] = m_set
             est_out[settled] = est[at[ok], lane[ok]]
             depth_out[settled] = depths[at[ok]]
             live, x = live[~ok], xs[:, :, -1, ~ok]

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from quasispec.arithmetic import (
     Frequency,
     RationalDetected,
-    check_best_approximation,
     diophantine_score,
     expand,
     from_terms,
@@ -59,9 +58,12 @@ def test_silver_terms():
 
 def test_exhaustive_best_approximation_golden():
     f = resolve_alpha("golden", 20)
-    # q_{n+1} <= 1e5 allows the exhaustive scan of (b1)
+    qs = f.denominators
+    # q_{n+1} <= 1e5 allows the exhaustive scan of (b1):
+    # ||q_n alpha|| = inf_{1 <= k < q_{n+1}} ||k alpha||
     for n in (3, 6, 9):
-        assert check_best_approximation(f, n)
+        best = min(f.torus_norm_multiple_mp(k) for k in range(1, qs[n + 1]))
+        assert best == f.torus_norm_multiple_mp(qs[n])
 
 
 def test_torus_norm_values():

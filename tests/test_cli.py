@@ -119,15 +119,6 @@ class TestOtherCommands:
         stub = (tmp_path / "l.csv.gp").read_text()
         assert "plot" in stub and "l.csv" in stub
 
-    def test_threads_flag_same_output(self, tmp_path):
-        args = ["lyapunov", "--potential", "amo", "--lambda", "0.5",
-                "--e-min", "-1", "--e-max", "1", "--e-points", "5",
-                "--n", "500", "--x-grid", "4"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a), "--threads", "1"]) == 0
-        assert main(args + ["--out", str(b), "--threads", "4"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
@@ -152,6 +143,20 @@ class TestExitCodes:
         assert manifest["status"] == "error"
         assert manifest["error"]["code"] == "NoConvergence"
 
+    def test_rounded_away_m_function_is_3(self, tmp_path, capsys):
+        # eps_k of k = 30 at E = 2.9 is about 1.7e-18: the computed m+ loses
+        # its imaginary part to rounding, a numerical failure, not bad input
+        rc = main(["subordinacy", "--potential", "amo", "--lambda", "0.5", "--e", "2.9",
+                   "--k-max", "30", "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert "lost its imaginary part" in capsys.readouterr().err
+
+    def test_hyperbolic_ladder_is_3_naming_k(self, tmp_path, capsys):
+        rc = main(["subordinacy", "--potential", "amo", "--lambda", "2", "--e", "0.1",
+                   "--k-max", "1000", "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "at k = 322;" in err and "Traceback" not in err
 
     def test_non_finite_energy_is_2(self, tmp_path):
         rc = main(["mfunction", "--potential", "amo", "--lambda", "0.5",

@@ -11,7 +11,6 @@ from quasispec.cocycle import (
     iterate,
     lyapunov,
     orbit,
-    product_log_det,
     solution,
     step_matrix,
 )
@@ -85,11 +84,12 @@ class TestIterate:
         assert np.linalg.norm(m, 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_det_preservation(self):
-        for n in (100, 1000, 10000):
-            m, s = iterate(0.0, FREE, ALPHA, 0.0, n)
-            assert abs(math.exp(product_log_det(m, s)) - 1.0) <= 1e-10 * n
-        m, s = iterate(0.0, Potential.amo(0.5), ALPHA, 0.13, 5000)
-        assert abs(math.exp(product_log_det(m, s)) - 1.0) <= 1e-10 * 5000
+        # log |det| of the unscaled product exp(s) * m is 0
+        for v, x, n in ((FREE, 0.0, 100), (FREE, 0.0, 1000), (FREE, 0.0, 10000),
+                        (Potential.amo(0.5), 0.13, 5000)):
+            m, s = iterate(0.0, v, ALPHA, x, n)
+            log_det = math.log(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) + 2 * s
+            assert abs(math.exp(log_det) - 1.0) <= 1e-10 * n
 
     def test_cocycle_law(self):
         v = Potential.amo(0.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from quasispec import subordinacy
+from quasispec import subordinacy, weyl
 from quasispec.arithmetic import resolve_alpha
 from quasispec.cocycle import Potential, solution, solution_norm_sq_batch
 from quasispec.subordinacy import (
@@ -21,7 +21,7 @@ from quasispec.subordinacy import (
     p_matrix,
     profile,
 )
-from quasispec.weyl import NoConvergence, m_plus, rotate_beta
+from quasispec.weyl import NoConvergence, m_plus, psi, rotate_beta
 
 ALPHA = resolve_alpha("golden", 40).alpha
 FREE = Potential.zero()
@@ -88,11 +88,19 @@ def _mp_ladder(E, v, x, ks, dps=60):
     return out
 
 
-class TestLadderOracle:
-    """The blocked-scan ladder against a 60-digit recurrence.  Tolerances
-    are set from the dtype: about 2k steps of double rounding."""
+def _assert_ladder_close(got, ref, entry_tol, log_det_tol):
+    for k, r in ref.items():
+        assert abs(got[k][3] - float(r[3])) <= log_det_tol
+        for g, rr in zip(got[k][:3], r[:3]):
+            assert abs(g - float(rr)) <= entry_tol * float(abs(r[0]) + abs(r[2]))
 
-    KS = [1, 2, 37, 1500]  # J = 2999 runs in blocks of 54 steps; k=37 sits mid-block
+
+class TestLadderOracle:
+    """The blocked-scan ladder against a 60-digit recurrence (400 digits
+    at hyperbolic energies).  Tolerances are set from the dtype: about 2k
+    steps of double rounding."""
+
+    KS = [1, 2, 37, 1500]  # J = 2999 runs in blocks of 55 steps; k=37 sits mid-block
 
     @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
     def test_matches_mpmath(self, quantile):
@@ -101,69 +109,56 @@ class TestLadderOracle:
         E = float(eigs[int(quantile * n)])  # in the AMO spectrum up to O(1/n)
         for x in (0.0, 0.21):
             got = _p_entries_upto(E, AMO, ALPHA, x, self.KS)
-            ref = _mp_ladder(E, AMO, x, self.KS)
-            for k in self.KS:
-                assert abs(got[k][3] - float(ref[k][3])) <= 1e-12
-                for g, r in zip(got[k][:3], ref[k][:3]):
-                    assert abs(g - float(r)) <= 1e-12 * float(abs(ref[k][0]) + abs(ref[k][2]))
+            _assert_ladder_close(got, _mp_ladder(E, AMO, x, self.KS), 1e-12, 1e-12)
 
-    def test_overflow_guard_step(self):
-        with pytest.raises(OverflowError, match="at step 318;"):
-            _p_entries_upto(2.9, AMO, ALPHA, 0.21, [418])
+    @pytest.mark.parametrize("k", [10, 100, 250])
+    def test_hyperbolic_matches_mpmath(self, k):
+        # AMO lambda = 2 at E = 0.1: L(E) = ln 2, so cond(P_(250)) is about
+        # 1e300 and its log det needs a recurrence of about 400 digits
+        v = Potential.amo(2.0)
+        got = _p_entries_upto(0.1, v, ALPHA, 0.21, [k])
+        _assert_ladder_close(got, _mp_ladder(0.1, v, 0.21, [k], dps=400), 1e-12, 1e-12)
+
+    def test_hyperbolic_overflow_names_k(self):
+        # the P entries of that ladder pass the float range at k = 322
+        with pytest.raises(OverflowError, match="at k = 322;"):
+            _p_entries_upto(0.1, Potential.amo(2.0), ALPHA, 0.21, default_k_list(1000))
 
     def test_empty_k_list(self):
         with pytest.raises(ValueError):
             _p_entries_upto(0.3, AMO, ALPHA, 0.0, [])
 
-    # (p11, p12, p22, log det) as float.hex, recorded from the implementation
-    # whose block totals were written out in place; a polynomial potential
-    # keeps the site energies free of libm rounding
-    RECORDED = {
-        (0.3, 0.0): {
-            1: ("0x1.00cb87a8661a3p+0", "-0x1.c8864680b5838p-5", "0x1.0000000000000p+0",
-                "0x1.6800000000000p-55"),
-            2: ("0x1.231a0f8c92c46p+1", "-0x1.04367134e5570p-2", "0x1.d15287ebf116cp+0",
-                "0x1.674899766b3c6p+0"),
-            37: ("0x1.dc2b604c9c682p+5", "-0x1.7a8be0b0b5950p+4", "0x1.4a74e01e2f11cp+5",
-                 "0x1.e32338f82d9e8p+2"),
-            1500: ("0x1.360ad7bd89c97p+11", "-0x1.32e18a089a91ap+10", "0x1.d860d8a0aa307p+10",
-                   "0x1.df1d5d1b639d4p+3"),
-        },
-        (1.1, 0.21): {
-            5: ("0x1.293b09b92efecp+3", "0x1.759aa513f965cp-3", "0x1.39b77dd7c5d0cp+2",
-                "0x1.e8a8b696249a4p+1"),
-            100: ("0x1.378792ff5db40p+7", "-0x1.3f448fff93815p+4", "0x1.f3b791608b622p+6",
-                  "0x1.3b5f9c21d3819p+3"),
-            20000: ("0x1.e98a576028713p+14", "-0x1.e4be273124038p+11", "0x1.852f222e0548fp+14",
-                    "0x1.474b110e4b04fp+4"),
-        },
-    }
+    # a polynomial potential keeps the site energies free of libm rounding
+    POLYNOMIAL = {(0.3, 0.0): [1, 2, 37, 1500], (1.1, 0.21): [5, 100, 20000]}
 
-    @pytest.mark.parametrize("E, x", list(RECORDED))
-    def test_bit_identical_to_recorded(self, E, x):
-        want = self.RECORDED[(E, x)]
-        got = _p_entries_upto(E, lambda t: 4.0 * t * (1.0 - t) - 0.7, ALPHA, x, list(want))
-        for k, entries in want.items():
-            assert [float(g).hex() for g in got[k]] == list(entries)
+    @pytest.mark.parametrize("E, x", list(POLYNOMIAL))
+    def test_polynomial_potential_matches_mpmath(self, E, x):
+        ks = self.POLYNOMIAL[(E, x)]
+        v = lambda t: 4.0 * t * (1.0 - t) - 0.7
+        _assert_ladder_close(_p_entries_upto(E, v, ALPHA, x, ks), _mp_ladder(E, v, x, ks),
+                             1e-14, 1e-13)
 
 
 class TestLargeEntries:
     # at E = 0.7, x = 0.21, k = 418 the P entries pass 1e186 (so their
-    # squares overflow) and det P passes 1e308, while every transfer-matrix
-    # entry stays below the 1e120 guard
+    # squares overflow) and cond(P) is far past 1/eps_mach; a 400-digit
+    # recurrence on the same site energies gives log det P = 433.31130375210495
+    LOG_DET = 433.31130375210495
+
     def test_norm_and_smallest_eig(self):
         pm = p_matrix(0.7, AMO, ALPHA, 0.21, 418)
         assert pm.entries[1, 1] > 1e186
         # P is numerically rank one here: its norm is its trace
         assert pm.norm == pytest.approx(pm.trace, rel=1e-12)
         assert 0.0 < pm.smallest_eig < pm.norm
-        assert pm.det == math.inf
+        assert pm.det == pytest.approx(math.exp(self.LOG_DET), rel=1e-12)
 
     def test_profile_row(self):
         prof = profile(0.7, AMO, ALPHA, 0.21, [418])
         (row,) = prof.rows
         assert row.norm_P == pytest.approx(p_matrix(0.7, AMO, ALPHA, 0.21, 418).norm, rel=1e-15)
-        assert row.det_P == math.inf and row.eps_k > 0.0
+        assert row.det_P == pytest.approx(math.exp(self.LOG_DET), rel=1e-12)
+        assert row.eps_k > 0.0
 
 
 class TestDetBetaScan:
@@ -270,6 +265,25 @@ class TestBracketCheck:
             np.array([-u1]), np.array([u0]), E, AMO, ALPHA, theta, 2 * k)[0]))
         m = m_plus(complex(E, rec.eps), AMO, ALPHA, theta, 1e-9)
         assert rec.value == abs(rotate_beta(m, beta)) * nb / nbp
+
+    def test_one_m_walk(self, monkeypatch):
+        # m+ at eps and at kkl_eps are two lanes of one walk, and each lane
+        # equals its own m_plus bit for bit
+        calls = []
+        walk = weyl._halfline_m
+
+        def counted(zs, *args):
+            calls.append(list(zs))
+            return walk(zs, *args)
+
+        monkeypatch.setattr(weyl, "_halfline_m", counted)
+        E, theta, beta, k = 0.3, 0.61, 0.4, 25
+        rec = jl_bracket_check(E, AMO, ALPHA, theta, beta, k, tol=1e-9)
+        assert calls == [[complex(E, rec.eps), complex(E, rec.kkl_eps)]]
+        pm = p_matrix(E, AMO, ALPHA, theta, k)
+        assert rec.kkl_eps == math.exp(-0.5 * pm.log_det)
+        m2 = m_plus(complex(E, rec.kkl_eps), AMO, ALPHA, theta, 1e-9)
+        assert rec.kkl_value == psi(m2) / (rec.kkl_eps * pm.norm)
 
 
 def test_default_k_list():

@@ -250,6 +250,13 @@ class TestErrors:
             m_plus(complex(0.3, 1e-3), Potential.amo(0.5), ALPHA, math.nan, 1e-8,
                    depth_cap=4096)
 
+    def test_rounded_away_imaginary_part_raises(self):
+        # at Im z ~ 1.7e-18 the settled m+ has Im m < 0 from rounding; that is
+        # non-convergence naming z, not a value psi would reject as bad input
+        z = complex(2.9, 1.6967918333001656e-18)
+        with pytest.raises(NoConvergence, match=r"z=\(2\.9\+1\.69.*lost its imaginary part"):
+            m_plus(z, Potential.amo(0.5), ALPHA, 0.0, 1e-7)
+
     def test_bad_tol_and_depth_cap_rejected(self):
         z = complex(0.3, 1e-3)
         for kwargs in ({"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-8},
