@@ -47,7 +47,7 @@ from .conjugation import (
 )
 from .spectral import gap_edges, holder_fit, ids, thouless_check
 from .subordinacy import default_k_list, profile
-from .weyl import NoConvergence, m_triple
+from .weyl import NoConvergence, _m_triples
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k-max", type=int, default=1000)
     p.add_argument("--eps-floor", type=float, default=0.0,
-                   help="drop rows whose eps_k falls below this")
+                   help="stop the ladder at the first row whose eps_k falls "
+                        "below this (eps_k never grows with k)")
     p.add_argument("--slack", type=float, default=0.05,
                    help="numerical slack on the closed brackets")
 
@@ -327,11 +328,10 @@ def run(args) -> int:
             _check_eps_floor(args)
             eps = np.geomspace(args.eps_min, args.eps_max, args.points)
             header = ["eps", "re_m_plus", "im_m_plus", "re_M", "im_M", "est_error", "depth"]
-            rows = []
-            for e in eps:
-                t = m_triple(complex(args.e, e), v, alpha, args.theta, args.tol, args.depth_cap)
-                rows.append([float(e), t.m_plus.real, t.m_plus.imag, t.M.real, t.M.imag,
-                             t.est_error, t.truncation_depth])
+            triples = _m_triples([complex(args.e, e) for e in eps], v, alpha, args.theta,
+                                 args.tol, args.depth_cap)
+            rows = [[float(e), t.m_plus.real, t.m_plus.imag, t.M.real, t.M.imag,
+                     t.est_error, t.truncation_depth] for e, t in zip(eps, triples)]
             write_rows(args.out, header, rows, args.format)
             write_manifest(args.out, cmd, params)
             if args.gnuplot_stub:

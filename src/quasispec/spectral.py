@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import Potential, block_count, block_totals, orbit
-from .weyl import DEPTH_CAP_DEFAULT, m_triple
+from .weyl import DEPTH_CAP_DEFAULT, _m_triples, m_triple
 
 _TINY = 1e-300  # a zero pivot is replaced by -_TINY
 
@@ -237,8 +237,8 @@ def holder_fit(E: float, v: Potential, alpha: float, theta: float,
         raise ValueError("eps_range must be positive")
     eps = np.geomspace(lo, hi, points)
 
-    im = np.array([m_triple(complex(E, e), v, alpha, theta, tol, depth_cap).M.imag
-                   for e in eps])
+    im = np.array([t.M.imag for t in
+                   _m_triples([complex(E, e) for e in eps], v, alpha, theta, tol, depth_cap)])
     w = 2.0 * eps * im
     coef = np.polyfit(np.log(eps), np.log(w), 1)
     fitted = np.polyval(coef, np.log(eps))

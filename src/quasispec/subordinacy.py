@@ -28,6 +28,7 @@ JL_LOWER = 5.0 - math.sqrt(24.0)
 KKL_UPPER = 2.0 + math.sqrt(3.0)
 KKL_LOWER = 2.0 - math.sqrt(3.0)
 _SITES = 1 << 14  # sites sampled at a time into the ladder's step table
+_SEGMENT = 4096  # with a floor, the ladder's first segment ends at k = 4096
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class PMatrix:
     @property
     def eps(self) -> float:
         """Subordinacy scale eps_k = (4 det)^{-1/2}."""
-        return 0.5 * math.exp(-0.5 * self.log_det)
+        return _eps(self.log_det)
 
     @property
     def trace(self) -> float:
@@ -121,52 +122,31 @@ def _fold(state, blk):
             math.ldexp(m11, g2), math.ldexp(m12, g2), math.ldexp(m22, g2), math.ldexp(q, g2))
 
 
-def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
-    """One cumulative pass of transfer steps from phase x+alpha, sampling
-    (p11, p12, p22, log_det) at each requested k.
+def _eps(log_det: float) -> float:
+    """The subordinacy scale eps_k = (4 det P_(k))^{-1/2} from log det."""
+    return 0.5 * math.exp(-0.5 * log_det)
 
-    With T_j = [[E - v(x + j alpha), -1], [1, 0]], A_j = T_j ... T_1 and
-    the rows r_j = e1^T A_j, P_(k) = sum_{j=0}^{2k-1} r_j^T r_j (the
-    second row of A_j is r_{j-1}).  By Cauchy-Binet its determinant is
-    sum_{i<j} (r_i x r_j)^2, and r_i x r_j is the Dirichlet solution
-    started at i and read at j (Teschl, Jacobi Operators, ch. 1), so
 
-        det P_(k) = sum_{j=0}^{2k-1} (M_j)_11,
-        M_j = T_j (M_{j-1} + e2 e2^T) T_j^T,  M_0 = 0,
+def _blocked_pass(E: float, v: Potential, alpha: float, x: float, j0: int, J: int, marks):
+    """Steps j0 + 1 .. j0 + J of the ladder as B blocks of S ~ sqrt(J)
+    steps, vectorised across blocks, each from the identity.
 
-    a sum of non-negative terms: no QR and no cancellation, and exact to
-    rounding where cond(P) is far past 1/eps_mach.
-
-    The J = 2 k_max - 1 steps, their site energies sampled ``_SITES`` at
-    a time, run as B blocks of S ~ sqrt(J) steps, vectorised across
-    blocks, each from the identity.  A block carries its product Phi,
-    W = sum_t r_t^T r_t over the top rows r_t of its partial products
-    Phi_t, C (the M recurrence from 0) and s = sum_t (C_t)_11, all
-    rescaled by powers of two every ``RESCALE_EVERY`` steps.  A scalar
-    fold over the blocks (``_fold``) then applies P += A^T W A,
-    det += <M, W> + s, M <- Phi M Phi^T + C and A <- Phi A; each
-    requested k is one more fold step, from the start of its block, with
-    the block's values at step 2k - 1.
-
-    Raises OverflowError, naming k, where an entry of P_(k) passes the
-    float range (its log det is finite long after that).
-    """
-    ks = sorted(set(int(k) for k in ks))
-    if not ks:
-        raise ValueError("need at least one k")
-    if ks[0] < 1:
-        raise ValueError("k must be >= 1")
-    J = 2 * ks[-1] - 1
+    Returns (S, totals, snap): the fold input (Phi, W, C, s and the scale
+    exponent, see ``_fold``) of every block, and of each block cut short
+    at local step l in ``marks`` (l = 1 .. J, step j0 + l), keyed by l.
+    No site past step j0 + J is sampled; the last block runs past J on
+    zero steps, never read back."""
     S = max(1, round(math.sqrt(J)))
     B = -(-J // S)
-    steps = np.empty((S, B))  # steps[t, i]: step j = i S + t + 1; past J never read back
+    steps = np.empty((S, B))  # steps[t, i]: local step i S + t + 1; zero past J
     per = max(1, _SITES // S)
     for i in range(0, B, per):
         n = min(per, B - i)
-        steps[:, i:i + n] = (E - v(orbit(x, alpha, i * S + 1, (i + n) * S + 1))).reshape(n, S).T
+        vals = E - v(orbit(x, alpha, j0 + i * S + 1, j0 + min((i + n) * S, J) + 1))
+        steps[:, i:i + n] = np.pad(vals, (0, n * S - len(vals))).reshape(n, S).T
     want: dict[int, list] = {}
-    for k in ks:
-        want.setdefault((2 * k - 2) % S, []).append(k)
+    for l in marks:
+        want.setdefault((l - 1) % S, []).append(l)
     rows = np.zeros((2, 2, B))  # the rows of Phi: rows[0] = (a, b), rows[1] = (c, d)
     rows[0, 0] = rows[1, 1] = 1.0
     w = np.zeros((3, B))  # (w11, w12, w22)
@@ -199,30 +179,93 @@ def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks):
                 for m in (w, c11, c12, c22, s, unit):
                     np.ldexp(m, -2 * g, out=m)
                 ex += g
-            for k in want.get(t, ()):
-                i = (2 * k - 2) // S
-                snap[k] = (*values()[:, i].tolist(), int(ex[i]))
+            for l in want.get(t, ()):
+                i = (l - 1) // S
+                snap[l] = (*values()[:, i].tolist(), int(ex[i]))
     totals = [(*col, f) for col, f in zip(values().T.tolist(), ex.tolist())]
+    return S, totals, snap
+
+
+def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks,
+                    eps_floor: float = 0.0):
+    """One cumulative pass of transfer steps from phase x+alpha, sampling
+    (p11, p12, p22, log_det) at each requested k, up to the first k whose
+    eps_k falls below ``eps_floor``.
+
+    With T_j = [[E - v(x + j alpha), -1], [1, 0]], A_j = T_j ... T_1 and
+    the rows r_j = e1^T A_j, P_(k) = sum_{j=0}^{2k-1} r_j^T r_j (the
+    second row of A_j is r_{j-1}).  By Cauchy-Binet its determinant is
+    sum_{i<j} (r_i x r_j)^2, and r_i x r_j is the Dirichlet solution
+    started at i and read at j (Teschl, Jacobi Operators, ch. 1), so
+
+        det P_(k) = sum_{j=0}^{2k-1} (M_j)_11,
+        M_j = T_j (M_{j-1} + e2 e2^T) T_j^T,  M_0 = 0,
+
+    a sum of non-negative terms: no QR and no cancellation, and exact to
+    rounding where cond(P) is far past 1/eps_mach.
+
+    The steps, their site energies sampled ``_SITES`` at a time, run as
+    blocks of S ~ sqrt(J) steps (``_blocked_pass``).  A block carries its
+    product Phi, W = sum_t r_t^T r_t over the top rows r_t of its partial
+    products Phi_t, C (the M recurrence from 0) and s = sum_t (C_t)_11,
+    all rescaled by powers of two every ``RESCALE_EVERY`` steps.  A scalar
+    fold over the blocks (``_fold``) then applies P += A^T W A,
+    det += <M, W> + s, M <- Phi M Phi^T + C and A <- Phi A; each
+    requested k is one more fold step, from the start of its block, with
+    the block's values at step 2k - 1.
+
+    det P_(k) never decreases in k, so eps_k never grows, and the rows
+    past the first one below a positive ``eps_floor`` are all below it:
+    the pass returns there, without that row.  It then runs in segments
+    that end at k = ``_SEGMENT``, twice that, four times that, ..., and
+    k_max: where that row lies past the first segment, no site past twice
+    its step is sampled.  The fold state carries across a segment end as
+    across a block end.  Without a floor, or with
+    k_max <= ``_SEGMENT``, the one segment is the whole ladder, with
+    J = 2 k_max - 1 steps, S = round(sqrt(J)).
+
+    Raises OverflowError, naming k, where an entry of P_(k) passes the
+    float range (its log det is finite long after that).
+    """
+    ks = sorted(set(int(k) for k in ks))
+    if not ks:
+        raise ValueError("need at least one k")
+    if ks[0] < 1:
+        raise ValueError("k must be >= 1")
     state = (1.0, 0.0, 0.0, 1.0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # j = 0: P = e1 e1^T
     out = {}
-    done = 0
-    for k in ks:
-        i = (2 * k - 2) // S  # the block of step 2k - 1
-        for j in range(done, i):
-            state = _fold(state, totals[j])
-        done = i
-        end = _fold(state, snap[k])
-        e, p11, p12, p22, q = end[4], *end[5:8], end[11]
-        try:
-            entry = (*(math.ldexp(t, 2 * e) for t in (p11, p12, p22)),
-                     math.log(q) + 2 * e * LN2)
-        except (OverflowError, ValueError):  # past the float range, or q <= 0
-            entry = (math.inf,)
-        if not all(map(math.isfinite, entry)):
-            raise OverflowError(f"P_(k) entries pass the float range at k = {k}; "
-                                f"energy {E} looks hyperbolic")
-        out[k] = entry
-    return out
+    j0, K = 0, min(ks[-1], _SEGMENT) if eps_floor > 0 else ks[-1]
+    while True:
+        J = 2 * K - 1 - j0  # this segment: steps j0 + 1 .. 2 K - 1
+        marks = {2 * k - 1 - j0: k for k in ks if j0 < 2 * k - 1 <= j0 + J}
+        last = K == ks[-1]
+        S, totals, snap = _blocked_pass(E, v, alpha, x, j0, J,
+                                        marks.keys() if last else {*marks, J})
+        done = 0
+        for l in sorted(snap):
+            i = (l - 1) // S  # the block of local step l
+            for j in range(done, i):
+                state = _fold(state, totals[j])
+            done = i
+            end = _fold(state, snap[l])
+            if l not in marks:  # the segment end, l = J
+                continue
+            k = marks[l]
+            e, p11, p12, p22, q = end[4], *end[5:8], end[11]
+            try:
+                log_det = math.log(q) + 2 * e * LN2
+                if _eps(log_det) < eps_floor:
+                    return out
+                entry = (*(math.ldexp(t, 2 * e) for t in (p11, p12, p22)), log_det)
+            except (OverflowError, ValueError):  # past the float range, or q <= 0
+                entry = (math.inf,)
+            if not all(map(math.isfinite, entry)):
+                raise OverflowError(f"P_(k) entries pass the float range at k = {k}; "
+                                    f"energy {E} looks hyperbolic")
+            out[k] = entry
+        if last:
+            return out
+        state, j0, K = end, j0 + J, min(2 * K, ks[-1])
 
 
 def p_matrix(E: float, v: Potential, alpha: float, x: float, k: int) -> PMatrix:
@@ -349,25 +392,23 @@ def profile(E: float, v: Potential, alpha: float, theta: float,
         ratio_jl    = psi / (2 eps_k ||P_(k)||)
         ratio_blabl = ||P_(k)|| / ||P_(k)^{-1}||^{-3}
 
-    Rows whose eps_k falls below ``eps_floor`` are dropped (the
-    m-function cost scales like 1/eps).  The kept rows' m-functions run
-    as lanes of one walk (``weyl.m_plus_lanes``), so each site is sampled
-    once for all of them.  NoConvergence from the m-function propagates.
+    The ladder stops at the first row whose eps_k falls below
+    ``eps_floor`` (the m-function cost scales like 1/eps, and eps_k never
+    grows with k), so the rows are those with eps_k >= ``eps_floor``, and
+    no step past that row's segment is computed.  The rows' m-functions
+    run as lanes of one walk (``weyl.m_plus_lanes``), so each site is
+    sampled once for all of them.  NoConvergence from the m-function
+    propagates.
     """
     if k_list is None:
         k_list = default_k_list(1000)
-    entries = _p_entries_upto(E, v, alpha, theta, k_list)
-    kept = []
-    for k in sorted(entries):
-        p11, p12, p22, logdet = entries[k]
-        eps_k = 0.5 * math.exp(-0.5 * logdet)
-        if eps_k >= eps_floor:
-            big = _herm_eigs(np.array([[p11, p12], [p12, p22]]))[1]
-            kept.append((k, big, logdet, eps_k))
-    m_vals = m_plus_lanes([complex(E, row[3]) for row in kept], v, alpha, theta, tol,
-                          depth_cap)[0]
+    entries = _p_entries_upto(E, v, alpha, theta, k_list, eps_floor)  # in k order
+    m_vals = m_plus_lanes([complex(E, _eps(entry[3])) for entry in entries.values()], v,
+                          alpha, theta, tol, depth_cap)[0]
     rows = []
-    for (k, big, logdet, eps_k), mp_val in zip(kept, m_vals):
+    for (k, (p11, p12, p22, logdet)), mp_val in zip(entries.items(), m_vals):
+        eps_k = _eps(logdet)
+        big = _herm_eigs(np.array([[p11, p12], [p12, p22]]))[1]
         ps = psi(complex(mp_val))
         rows.append(ProfileRow(
             k=k, norm_P=big, det_P=_exp(logdet), eps_k=eps_k, psi_mplus=ps,

@@ -21,16 +21,19 @@ companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n = [[z - v_n,
 Sturm counts, the Lyapunov products and ``iterate``.
 
 One walk serves many z ("lanes", ``m_plus_lanes``): ``subordinacy.profile``
-runs every kept eps_k of a ladder in it.  The depth doubles from 64
-until the two seeds of a lane agree; all lanes share the schedule, and
-each retires at the first depth where its seeds agree.  Each new block
-of sites is cut into sub-blocks of 8 to 32 sites, sampled once for all
-live lanes and run as one companion-step scan over lanes x sub-blocks;
-the sub-block totals are then folded pairwise.  All rescaling is by
-powers of two, which is exact, so a lane's value does not depend on
-the other lanes or on how the block is cut into chunks, and the
-rescaling interval of the scan shrinks where |z - v| is large enough
-to overflow it.  Since the doubling schedule is itself a balanced tree
+runs every kept eps_k of a ladder in it, and ``_m_triples`` (behind
+``m_triple``, ``spectral.holder_fit`` and the ``mfunction`` command)
+runs an eps ladder as one m+ walk and one m- walk.  The depth doubles
+from 64 until the two seeds of a lane agree; all lanes share the
+schedule, and each retires at the first depth where its seeds agree.
+Each new block of sites is cut into sub-blocks of 8 to 32 sites,
+sampled once for all live lanes and run as one companion-step scan over
+lanes x sub-blocks, fed one step at a time through a single (lanes,
+sub-blocks) buffer, so no table of all steps is built; the sub-block
+totals are then folded pairwise.  All rescaling is by powers of two,
+which is exact, so a lane's value does not depend on the other lanes or
+on how the block is cut into chunks, and the rescaling interval of the
+scan shrinks where |z - v| is large enough to overflow it.  Since the doubling schedule is itself a balanced tree
 over the sites, the first walk goes at once to about the depth the
 deepest lane needs, ln(1/tol) / Im z, up to 1024, and checks the
 depths on the way on the prefix nodes of its fold: a short walk pays per
@@ -61,7 +64,7 @@ import numpy as np
 from .cocycle import RESCALE_EVERY, Potential, block_totals, orbit
 
 DEPTH_CAP_DEFAULT = 10**7
-_ROW = 1 << 10  # lane x sub-block values per scan step: at most 512 KB of step values
+_ROW = 1 << 12  # lane x sub-block values per scan step: one 64 KB buffer of step values
 _SITES = 1 << 14  # sites sampled at a time
 _FIRST = 1024  # the first walk's reach at most: short walks cost per block
 
@@ -113,10 +116,11 @@ def M_function(m_plus_val: complex, m_minus_val: complex) -> complex:
 
 
 def _normalized(x):
-    """Scale each matrix of the (2, 2, ...) stack x by the power of two
-    that brings its max-abs entry into [0.5, 1): exact, and invisible to
-    the Moebius action."""
-    return x * np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(0, 1)))[1])
+    """Scale each matrix of the (2, 2, ...) stack x, in place, by the power
+    of two that brings its max-abs entry into [0.5, 1): exact, and
+    invisible to the Moebius action.  Returns x."""
+    x *= np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(0, 1)))[1])
+    return x
 
 
 def _mul(left, right):
@@ -134,15 +138,16 @@ def _fold(x):
     fold of an aligned run of 2**j matrices is a node of the fold of the
     whole row, bit for bit: power-of-two scaling changes no mantissa.
     Every fourth level and the top are normalised; in between, entries
-    below 1 grow to at most 2**15."""
-    firsts = [x[..., 0]]
+    below 1 grow to at most 2**15.  The first nodes are copies, so each
+    level is freed once the next one is formed."""
+    firsts = [x[..., 0].copy()]
     while x.shape[-1] > 1:
         n = x.shape[-1] & ~1
         level = _mul(x[..., 1:n:2], x[..., 0:n:2])
         if n < x.shape[-1]:  # the unpaired last matrix moves up unchanged
             level = np.concatenate((level, x[..., n:]), axis=-1)
         x = _normalized(level) if len(firsts) % 4 == 0 or level.shape[-1] == 1 else level
-        firsts.append(x[..., 0])
+        firsts.append(x[..., 0].copy())
     return firsts
 
 
@@ -166,13 +171,15 @@ def _block_products(zs, site_values, lo: int, hi: int):
     shorter); S is 8 up to 1024 sites, where the cost is per scan step
     and fold level, and grows to 32 by 4096, where it is per site.
     ``block_totals`` runs all sub-blocks of a chunk as one (lanes,
-    sub-blocks) scan, sampling each site once for every lane, and
-    ``_fold`` multiplies the sub-block totals out.  Chunks hold a power of
-    two of sub-blocks, aligned at ``lo``, fewer the more lanes there are,
-    so that one step touches at most ``_ROW`` values and a chunk samples
-    at most ``_SITES`` sites; by alignment each chunk's fold is a node of
-    the fold over the whole block, and a lane's products do not depend on
-    how many lanes walk with it.
+    sub-blocks) scan, sampling each site once for every lane; its step
+    values z - v are written one step at a time into one (lanes,
+    sub-blocks) buffer as the scan reads them.  ``_fold`` then multiplies
+    the sub-block totals out.  Chunks hold a power of two of sub-blocks,
+    aligned at ``lo``, fewer the more lanes there are, so that one step
+    touches at most ``_ROW`` values and a chunk samples at most ``_SITES``
+    sites; by alignment each chunk's fold is a node of the fold over the
+    whole block, and a lane's products depend neither on how many lanes
+    walk with it nor on ``_ROW``.
     """
     zcol = zs[:, None]
     S = min(RESCALE_EVERY, max(8, (hi - lo) >> 7))
@@ -185,9 +192,11 @@ def _block_products(zs, site_values, lo: int, hi: int):
         """Normalised totals of ``count`` sub-blocks of ``steps`` sites
         from site ``first``, as (2, 2, lanes, count)."""
         vals = site_values(first, first + count * steps)
-        rows = np.subtract(zcol, vals.reshape(count, steps).T[:, None, :])
         every = _rescale_every(zmax + float(np.abs(vals).max()))
-        a, b, c, d, _ = block_totals(rows, rows.shape[1:], complex, every)
+        buf = np.empty((len(zs), count), dtype=complex)
+        rows = (np.subtract(zcol, col, out=buf)
+                for col in np.ascontiguousarray(vals.reshape(count, steps).T))
+        a, b, c, d, _ = block_totals(rows, buf.shape, complex, every)
         return _normalized(np.array([[a, b], [c, d]]))
 
     firsts, roots = [], []
@@ -198,7 +207,7 @@ def _block_products(zs, site_values, lo: int, hi: int):
             parts.append(totals(lo + i0 * S, min(i1, full) - i0, S))
         if i1 > full:  # the short last sub-block
             parts.append(totals(lo + full * S, 1, rem))
-        nodes = _fold(np.concatenate(parts, axis=-1))
+        nodes = _fold(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1))
         if not i0:
             firsts = nodes[:-1]
         roots.append(nodes[-1])
@@ -315,10 +324,15 @@ def m_minus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     Computed as m_plus of the reflected potential x -> v(theta - n alpha);
     equals -u_{-1}/u_0 for the l2(-oo) solution u of H u = z u.
     """
-    sites = lambda lo, hi: v(orbit(theta, -alpha, lo, hi))
-    m, est, depth = _halfline_m([z], sites, tol, depth_cap)
+    m, est, depth = _m_minus_lanes([z], v, alpha, theta, tol, depth_cap)
     m, est, depth = complex(m[0]), float(est[0]), int(depth[0])
     return (m, est, depth) if full_output else m
+
+
+def _m_minus_lanes(zs, v: Potential, alpha: float, theta: float, tol: float,
+                   depth_cap: int):
+    """``m_minus`` at every z in ``zs`` along one walk of the reflected sites."""
+    return _halfline_m(zs, lambda lo, hi: v(orbit(theta, -alpha, lo, hi)), tol, depth_cap)
 
 
 @dataclass(frozen=True)
@@ -346,12 +360,23 @@ class MTriple:
 def m_triple(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
              depth_cap: int = DEPTH_CAP_DEFAULT) -> MTriple:
     """Assemble (m+, u_1/u_0 ratio, M) at z = E + i eps and phase theta."""
-    mp_val, ep, dp = m_plus(z, v, alpha, theta, tol, depth_cap, full_output=True)
-    ml_val, em, dm = m_minus(z, v, alpha, theta, tol, depth_cap, full_output=True)
-    ratio = z - complex(v(theta)) + ml_val
-    M = M_function(mp_val, ratio)
-    return MTriple(m_plus=mp_val, m_minus=ratio, M=M, z=complex(z),
-                   truncation_depth=max(dp, dm), est_error=ep + em)
+    return _m_triples([z], v, alpha, theta, tol, depth_cap)[0]
+
+
+def _m_triples(zs, v: Potential, alpha: float, theta: float, tol: float,
+               depth_cap: int) -> list[MTriple]:
+    """``m_triple`` at every z in ``zs`` from one m+ walk and one m- walk
+    for all of them; each triple equals its own ``m_triple`` bit for bit."""
+    mp, ep, dp = m_plus_lanes(zs, v, alpha, theta, tol, depth_cap)
+    ml, em, dm = _m_minus_lanes(zs, v, alpha, theta, tol, depth_cap)
+    v0 = complex(v(theta))
+    out = []
+    for i, z in enumerate(zs):
+        mp_val, ratio = complex(mp[i]), z - v0 + complex(ml[i])
+        out.append(MTriple(m_plus=mp_val, m_minus=ratio, M=M_function(mp_val, ratio),
+                           z=complex(z), truncation_depth=max(int(dp[i]), int(dm[i])),
+                           est_error=float(ep[i]) + float(em[i])))
+    return out
 
 
 def _box_green(z, v: Potential, alpha: float, theta: float, lo: int, hi: int,

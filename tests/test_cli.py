@@ -151,6 +151,17 @@ class TestExitCodes:
         assert rc == 3
         assert "lost its imaginary part" in capsys.readouterr().err
 
+    def test_hyperbolic_ladder_with_floor_is_0(self, tmp_path):
+        # the ladder stops at its first row below the floor, at k = 14,
+        # long before its P entries pass the float range at k = 322
+        out = tmp_path / "s.csv"
+        rc = main(["subordinacy", "--potential", "amo", "--lambda", "2", "--e", "0.1",
+                   "--k-max", "1000", "--eps-floor", "1e-8", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert [int(row[0]) for row in rows] == [1, 2, 3, 4, 5, 7, 9, 11]
+        assert all(float(row[3]) >= 1e-8 for row in rows)
+
     def test_hyperbolic_ladder_is_3_naming_k(self, tmp_path, capsys):
         rc = main(["subordinacy", "--potential", "amo", "--lambda", "2", "--e", "0.1",
                    "--k-max", "1000", "--out", str(tmp_path / "s.csv")])

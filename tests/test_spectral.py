@@ -20,6 +20,7 @@ from quasispec.spectral import (
     sturm_counts,
     thouless_check,
 )
+from quasispec.weyl import m_triple
 
 ALPHA = resolve_alpha("golden", 40).alpha
 FREE = Potential.zero()
@@ -184,6 +185,14 @@ class TestHolderFit:
         assert np.all(fit.w <= 10.0 * np.sqrt(fit.eps))
         scaled = fit.im_sqrt_eps
         assert scaled.max() / scaled.min() < 1e3
+
+
+    def test_each_point_is_its_own_m_triple(self):
+        # the eps ladder runs as lanes of one m+ and one m- walk, and each
+        # Im M is that of m_triple at its own eps, bit for bit
+        fit = holder_fit(0.0, AMO, ALPHA, 0.31, (1e-4, 1e-1), 16)
+        for e, im in zip(fit.eps, fit.im_M):
+            assert im == m_triple(complex(0.0, e), AMO, ALPHA, 0.31).M.imag
 
 
 class TestL1WindowBound:

@@ -7,7 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from quasispec import subordinacy, weyl
 from quasispec.arithmetic import resolve_alpha
-from quasispec.cocycle import Potential, solution, solution_norm_sq_batch
+from quasispec.cocycle import Potential, orbit, solution, solution_norm_sq_batch
 from quasispec.subordinacy import (
     JL_LOWER,
     JL_UPPER,
@@ -221,6 +221,72 @@ class TestProfile:
     def test_depth_cap_propagates(self):
         with pytest.raises(NoConvergence):
             profile(0.0, AMO, ALPHA, 0.0, k_list=[2000], tol=1e-10, depth_cap=512)
+
+    ROW_FIELDS = ("norm_P", "det_P", "eps_k", "psi_mplus", "ratio_jl", "ratio_blabl")
+
+    def test_floor_equals_filtered_full(self):
+        # along this ladder eps_k is about 1/(3.9 k); the floors stop it in
+        # the first segment (k <= 4096, at k = 3406), in the second (at
+        # k = 7483) and in the fourth (at k = 27784), where the segments'
+        # blocking differs from the whole ladder's by rounding only
+        ks = default_k_list(30000)
+        full = profile(0.0, AMO, ALPHA, 0.0, ks, tol=1e-8)
+        for floor in (1e-4, 5e-5, 1.3e-5):
+            cut = profile(0.0, AMO, ALPHA, 0.0, ks, tol=1e-8, eps_floor=floor)
+            want = [row for row in full.rows if row.eps_k >= floor]
+            assert [row.k for row in cut.rows] == [row.k for row in want]
+            for got, ref in zip(cut.rows, want):
+                for name in self.ROW_FIELDS:
+                    rel = 5e-12 if name == "ratio_blabl" else 1e-12
+                    assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel)
+
+    def test_no_floor_is_the_whole_ladder(self):
+        # float.hex values of the one-pass ladder over J = 11999 steps; k = 37
+        # sits mid-block and k = 6000 is past the first segment of a floor
+        prof = profile(0.3, AMO, ALPHA, 0.21, [1, 37, 1500, 6000], tol=1e-8)
+        rows = {row.k: [getattr(row, name).hex() for name in self.ROW_FIELDS]
+                for row in prof.rows}
+        assert rows[37] == ["0x1.99616a5ffe010p+9", "0x1.820fa5785b01fp+13",
+                            "0x1.26d02d5ef4bebp-8", "0x1.e2ba75d12eacap+2",
+                            "0x1.0620081962d12p+0", "0x1.e822bade00553p-3"]
+        assert rows[6000] == ["0x1.0c6d0cee00ba3p+17", "0x1.3eac2b11c849dp+28",
+                              "0x1.cae648a48c785p-16", "0x1.e15398b698504p+2",
+                              "0x1.0014c4d419b01p+0", "0x1.40d821cbe97f4p-17"]
+        pm = p_matrix(0.3, AMO, ALPHA, 0.21, 6000)  # the same ladder
+        assert [t.hex() for t in (*pm.entries.ravel()[[0, 1, 3]], pm.log_det)] == [
+            "0x1.374310eb9e1bbp+16", "0x1.04e974aa0009fp+16", "0x1.d62ccc6881118p+15",
+            "0x1.3a08a205cdc43p+4"]
+
+    def test_floor_stops_the_sampling(self, monkeypatch):
+        # the ladder stops at k = 7483 (step 14965), in the segment that
+        # ends at k = 8192: no site past twice that step is sampled
+        sampled = []
+
+        def recorded(theta, alpha, lo, hi):
+            sampled.append(hi - 1)
+            return orbit(theta, alpha, lo, hi)
+
+        monkeypatch.setattr(subordinacy, "orbit", recorded)
+        ks = default_k_list(300000)
+        prof = profile(0.0, AMO, ALPHA, 0.0, ks, tol=1e-8, eps_floor=5e-5)
+        stop = ks[len(prof.rows)]
+        assert stop == 7483
+        assert 2 * stop - 1 < max(sampled) <= 2 * (2 * stop - 1)
+        sampled.clear()
+        _p_entries_upto(0.0, AMO, ALPHA, 0.0, ks)
+        assert max(sampled) == 2 * ks[-1] - 1  # without a floor: the whole ladder
+
+    def test_hyperbolic_floor_stops_before_overflow(self):
+        # the P entries of this ladder pass the float range at k = 322 (at
+        # x = 0.21 as at x = 0); with a floor it stops at k = 14, and its
+        # rows are those of the short ladder
+        v = Potential.amo(2.0)
+        prof = profile(0.1, v, ALPHA, 0.0, default_k_list(1000), eps_floor=1e-8)
+        assert [row.k for row in prof.rows] == [1, 2, 3, 4, 5, 7, 9, 11]
+        short = _p_entries_upto(0.1, v, ALPHA, 0.0, [row.k for row in prof.rows])
+        for row in prof.rows:
+            assert row.eps_k >= 1e-8
+            assert row.det_P == pytest.approx(math.exp(short[row.k][3]), rel=1e-12)
 
 
 class TestBracketCheck:

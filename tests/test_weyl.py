@@ -215,6 +215,28 @@ class TestMTriple:
                          v, ALPHA, rng.uniform(0, 1), 1e-8)
             assert t.m_plus.imag > 0 and t.m_minus.imag > 0 and t.M.imag > 0
 
+    def test_triples_from_one_walk_each_way(self, monkeypatch):
+        # an eps ladder as lanes: one m+ walk and one m- walk for all of
+        # it, each triple equal to its own m+ and m- assembled per z
+        walks = []
+        walk = weyl._halfline_m
+
+        def counted(zs, *args):
+            walks.append(len(zs))
+            return walk(zs, *args)
+
+        monkeypatch.setattr(weyl, "_halfline_m", counted)
+        v, theta = Potential.amo(0.5), 0.31
+        zs = [complex(0.0, e) for e in np.geomspace(1e-4, 1e-1, 16)]
+        triples = weyl._m_triples(zs, v, ALPHA, theta, 1e-8, weyl.DEPTH_CAP_DEFAULT)
+        assert walks == [16, 16]
+        for z, t in zip(zs, triples):
+            mp, ep, dp = m_plus(z, v, ALPHA, theta, 1e-8, full_output=True)
+            ml, em, dm = m_minus(z, v, ALPHA, theta, 1e-8, full_output=True)
+            ratio = z - complex(v(theta)) + ml
+            assert (t.m_plus, t.m_minus, t.M) == (mp, ratio, M_function(mp, ratio))
+            assert (t.est_error, t.truncation_depth) == (ep + em, max(dp, dm))
+
 
 class TestMonotonicity:
     def test_borel_kernel_monotonicity(self):
@@ -286,6 +308,22 @@ class TestLanes:
         assert depth.min() == 64 and depth.max() > 8192
         for z, *lane in zip(zs, m, est, depth):
             assert m_plus(z, v, ALPHA, 0.4, 1e-9, 150000, full_output=True) == tuple(lane)
+
+    def test_chunking_cannot_change_m(self, monkeypatch):
+        # _ROW = 2**6 leaves one sub-block per chunk for 40 lanes, 2**12 up
+        # to 64: aligned power-of-two chunks fold to the same nodes, so m,
+        # est and depth are the same bits; depths run from 64 to past 8192
+        v = Potential.amo(0.5)
+        eps = np.geomspace(2e-4, 0.5, 40)
+        zs = [complex(E, e) for E, e in zip(np.linspace(-2.0, 2.0, 40), eps)]
+        walks = []
+        for row in (2**6, 2**12):
+            monkeypatch.setattr(weyl, "_ROW", row)
+            walks.append(weyl.m_plus_lanes(zs, v, ALPHA, 0.4, 1e-9, depth_cap=150000))
+        depth = walks[0][2]
+        assert depth.min() == 64 and depth.max() > 8192
+        for narrow, wide in zip(*walks):
+            np.testing.assert_array_equal(narrow, wide)
 
     def test_truncated_last_block(self):
         # a cap that is no power of two leaves a block of 3808 sites, cut
