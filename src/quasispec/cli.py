@@ -1,14 +1,18 @@
 """quasispec command line: reproducible spectral experiments with CSV/JSON
 outputs and run manifests.
 
-Every run with --out writes the data file plus <out>.manifest.json
+Every subcommand is one entry of ``COMMANDS``: its row generator, its
+columns, its own flags and the shared inputs it reads.  ``build_parser``
+gives a subcommand only the flags it reads, and ``run`` is the one
+writer: with --out it writes the data file plus <out>.manifest.json
 echoing all resolved parameters, the tool version and the precision
 mode.  Data files are byte-identical across repeated runs with the same
 config on one platform (fixed reduction orders, no wall clock in data);
 manifest timestamps are excluded from that contract.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
-(partial output plus a failure record in the manifest).
+Exit codes: 0 success, 2 validation error (nothing written), 3 numerical
+non-convergence (the rows completed before the failure, at least the
+header, plus a failure record in the manifest).
 
 Per-vector spectral measures mu^{e_k} are never computed independently:
 they are bounded through the shift identity mu^{e_k}_x = mu^{e_0}_{x+k
@@ -24,6 +28,8 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,66 +61,49 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    if isinstance(x, (np.integer,)):
-        return str(int(x))
-    return str(x)
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def write_rows(path, header, rows, fmt="csv"):
-    """Serialize rows deterministically; '-' writes CSV to stdout."""
-    if fmt == "json":
-        def conv(x):
-            if isinstance(x, float):
-                return float(x)
-            if isinstance(x, (np.integer,)):
-                return int(x)
-            return x
-        payload = [{k: conv(x) for k, x in zip(header, r)} for r in rows]
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+def _write(args, cmd, rows, params, error=None):
+    """The one writer: the data file (stdout for no --out or '-', and
+    nothing else), then the manifest, and on success the gnuplot stub
+    when asked for.  ``error`` is the failure record of an exit 3."""
+    header = cmd.columns.split(",")
+    if args.format == "json":
+        payload = [dict(zip(header, r)) for r in rows]
+        text = json.dumps(payload, indent=1, sort_keys=True, default=int) + "\n"
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(x) for x in r) for r in rows]
-        text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
+        text = "\n".join([",".join(header)] + [",".join(map(_fmt, r)) for r in rows]) + "\n"
+    if args.out in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def write_manifest(path, command, params, status="ok", error=None):
-    if path is None or path == "-":
         return
+    with open(args.out, "w") as fh:
+        fh.write(text)
     manifest = {
-        "command": command,
+        "command": args.command,
         "params": params,
         "version": __version__,
         "precision_mode": os.environ.get("QUASISPEC_PRECISION", "extended"),
-        "status": status,
+        "status": "ok" if error is None else "error",
         "created_unix": time.time(),  # excluded from the determinism contract
     }
     if error is not None:
         manifest["error"] = error
-    with open(str(path) + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def write_gnuplot_stub(path, header, xi=0, yi=1, logscale=False):
-    if path is None or path == "-":
-        return
-    lines = [
-        "set datafile separator ','",
-        f"set xlabel '{header[xi]}'",
-        f"set ylabel '{header[yi]}'",
-    ]
-    if logscale:
-        lines.append("set logscale xy")
-    lines.append(f"plot '{path}' every ::1 using {xi + 1}:{yi + 1} with linespoints")
-    with open(str(path) + ".gp", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if error is None and getattr(args, "gnuplot_stub", False):
+        xi, yi, logscale = cmd.plot
+        lines = [
+            "set datafile separator ','",
+            f"set xlabel '{header[xi]}'",
+            f"set ylabel '{header[yi]}'",
+        ]
+        if logscale:
+            lines.append("set logscale xy")
+        lines.append(f"plot '{args.out}' every ::1 using {xi + 1}:{yi + 1} with linespoints")
+        with open(args.out + ".gp", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _potential_from_args(args) -> Potential:
@@ -161,27 +150,249 @@ def _energy_grid(args) -> np.ndarray:
     return np.linspace(args.e_min, args.e_max, args.e_points)
 
 
-def _add_common(p, potential=True, energy=True):
-    p.add_argument("--alpha", default="golden",
-                   help="frequency: preset (golden/silver), decimal string, or cf:a1,a2,...")
-    p.add_argument("--theta", type=float, default=0.0, help="phase")
-    p.add_argument("--tol", type=float, default=1e-8, help="m-function tolerance")
-    p.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--gnuplot-stub", action="store_true",
-                   help="emit a ready-to-run gnuplot script next to the data file")
-    p.add_argument("--depth-cap", type=int, default=10**7,
-                   help="m-function recursion depth cap")
-    if potential:
-        p.add_argument("--potential", choices=["amo", "trigpoly", "zero"], default="amo")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                       help="AMO coupling (potential 2*lambda*cos)")
-        p.add_argument("--coeffs", default=None, help="trigpoly modes 'k:re:im,...'")
-    if energy:
-        p.add_argument("--e", type=float, default=None, help="single energy")
-        p.add_argument("--e-min", type=float, default=None)
-        p.add_argument("--e-max", type=float, default=None)
-        p.add_argument("--e-points", type=int, default=101)
+def _resonances(args, freq, v, params):
+    rs = resonances(freq, args.theta, args.eps0, args.k_max)
+    nabs = {j: n for j, n, _ in resonance_repulsion_check(rs, freq)}
+    for j, k in enumerate(rs.indices):
+        yield [j, k, resonance_distance(freq, args.theta, k),
+               math.exp(-abs(k) * args.eps0), nabs.get(j, 0)]
+
+
+def _lyapunov(args, freq, v, params):
+    for E in _energy_grid(args):
+        yield [float(E), lyapunov(float(E), v, freq.alpha, args.n, args.x_grid,
+                                  args.theta, args.grid)]
+
+
+def _mfunction(args, freq, v, params):
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
+    _check_eps_floor(args)
+    eps = np.geomspace(args.eps_min, args.eps_max, args.points)
+    triples = _m_triples([complex(args.e, e) for e in eps], v, freq.alpha, args.theta,
+                         args.tol, args.depth_cap)
+    return [[float(e), t.m_plus.real, t.m_plus.imag, t.M.real, t.M.imag,
+             t.est_error, t.truncation_depth] for e, t in zip(eps, triples)]
+
+
+def _subordinacy(args, freq, v, params):
+    prof = profile(args.e, v, freq.alpha, args.theta, default_k_list(args.k_max),
+                   args.tol, args.eps_floor, args.depth_cap)
+    return [[r.k, r.norm_P, r.det_P, r.eps_k, r.psi_mplus, r.ratio_jl, r.ratio_blabl]
+            for r in prof.rows]
+
+
+def _holder(args, freq, v, params):
+    _check_eps_floor(args)
+    fit = holder_fit(args.e, v, freq.alpha, args.theta, (args.eps_min, args.eps_max),
+                     args.points, args.tol, depth_cap=args.depth_cap)
+    params["fitted_slope"] = fit.slope
+    params["fit_residual"] = fit.residual
+    return [[fit.E, e, w, im] for e, w, im in zip(fit.eps, fit.w, fit.im_M)]
+
+
+def _ids(args, freq, v, params):
+    table = ids(v, freq.alpha, _energy_grid(args), args.method.replace("-", "_"),
+                args.size, args.theta, args.phases)
+    return [[float(a), float(b)] for a, b in zip(table.energies, table.N_values)]
+
+
+def _thouless(args, freq, v, params):
+    grid = _energy_grid(args)
+    if args.table_points < 2:
+        raise ValueError("--table-points must be >= 2 (the IDS table "
+                         "needs at least one cell)")
+    bound = 2.0 + v.sup_bound() + args.table_span
+    table = ids(v, freq.alpha, np.linspace(-bound, bound, args.table_points),
+                "finite_box", args.size, args.theta)
+    for E in grid:
+        L = lyapunov(float(E), v, freq.alpha, args.n, args.x_grid, args.theta)
+        rec = thouless_check(float(E), v, freq.alpha, table, L)
+        yield [float(E), L, rec.integral, rec.residual]
+
+
+def _gaps(args, freq, v, params):
+    grid = _energy_grid(args)
+    if len(grid) < 2:
+        raise ValueError("gaps needs --e-min/--e-max with --e-points >= 2")
+    table = ids(v, freq.alpha, grid, "finite_box", args.size, args.theta)
+    return [[r.e_left, r.e_right, r.n_plateau] for r in gap_edges(table, args.plateau_tol)]
+
+
+def _tx_oracle(args, freq, v, params):
+    parts = args.t_hat.split(":")
+    t_hat = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+    tc = TriangularCocycle(theta=args.theta, alpha=freq.alpha, r=args.r,
+                           t_hat=t_hat, k=args.k)
+    a = tx_closed_form(tc, args.x)
+    b = tx_bruteforce(tc, args.x)
+    scale = max(1.0, abs(b.detX))
+    rel = max(abs(a.normX - b.normX) / max(b.normX, 1.0),
+              abs(a.detX - b.detX) / scale, abs(a.x1 - b.x1) / scale)
+    return [[args.k, a.normX, b.normX, a.detX, b.detX, rel]]
+
+
+def _reduce(args, freq, v, params):
+    rng = np.random.default_rng(args.seed)
+
+    def rand_entry():
+        co = {0: complex(rng.standard_normal(), 0.0)}
+        for k in range(1, 4):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            co[k], co[-k] = c, c.conjugate()
+        nrm = BandFunction(co, args.band).norm()
+        return BandFunction({k: args.w_norm * c / nrm for k, c in co.items()}, args.band)
+
+    A = perturbed_schrodinger(v, (rand_entry(), rand_entry(), rand_entry()), args.band)
+    res = schrodinger_reduction(A, v, freq.alpha, args.band, args.max_iter, args.reduce_tol)
+    params["residual"] = res.residual
+    params["iterations"] = res.iterations
+    ratios = res.contraction_ratios
+    return [[i, wn, ratios[i] if i < len(ratios) else float("nan")]
+            for i, wn in enumerate(res.w_norms)]
+
+
+def _arg(*names, **kwargs):
+    """One argparse flag, as (names, keyword arguments)."""
+    return names, kwargs
+
+
+#: flags of every subcommand
+COMMON = (
+    _arg("--alpha", default="golden",
+         help="frequency: preset (golden/silver), decimal string, or cf:a1,a2,..."),
+    _arg("--out", default=None, help="output path ('-' = stdout)"),
+    _arg("--format", choices=["csv", "json"], default="csv"),
+)
+
+#: the shared flag groups, named in ``Command.reads``; "e" (one energy,
+#: required) and "grid" (one energy or a linspace) exclude each other
+SHARED = {
+    "theta": (_arg("--theta", type=float, default=0.0, help="phase"),),
+    "potential": (
+        _arg("--potential", choices=["amo", "trigpoly", "zero"], default="amo"),
+        _arg("--lambda", dest="lam", type=float, default=0.5,
+             help="AMO coupling (potential 2*lambda*cos)"),
+        _arg("--coeffs", default=None, help="trigpoly modes 'k:re:im,...'"),
+    ),
+    "e": (_arg("--e", type=float, required=True, help="energy"),),
+    "grid": (
+        _arg("--e", type=float, default=None, help="single energy"),
+        _arg("--e-min", type=float, default=None),
+        _arg("--e-max", type=float, default=None),
+        _arg("--e-points", type=int, default=101),
+    ),
+    "mfun": (
+        _arg("--tol", type=float, default=1e-8, help="m-function tolerance"),
+        _arg("--depth-cap", type=int, default=10**7, help="m-function recursion depth cap"),
+    ),
+}
+
+EPS_LADDER = (
+    _arg("--eps-min", type=float, default=1e-4),
+    _arg("--eps-max", type=float, default=1e-1),
+    _arg("--points", type=int, default=16),
+    _arg("--allow-deep", action="store_true",
+         help="permit eps below 1e-6 (depth grows like 1/eps)"),
+)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  ``rows(args, freq, v, params)`` returns or yields
+    the data rows in the order of ``columns`` (``v`` is None unless it
+    reads the potential) and may add fields to the manifest ``params``.
+    ``plot`` is the (x column, y column, log scale) of its gnuplot stub;
+    only a subcommand with one takes --gnuplot-stub."""
+
+    help: str
+    columns: str
+    rows: Callable
+    reads: tuple = ()
+    flags: tuple = ()
+    plot: tuple | None = None
+    notes: str = ""
+
+
+COMMANDS = {
+    "resonances": Command(
+        "eps0-resonances of a phase",
+        "j,n_j,torus_dist_2theta_minus_nj_alpha,decay_bound,next_abs", _resonances,
+        ("theta",),
+        (_arg("--eps0", type=float, default=1.0),
+         _arg("--k-max", type=int, default=200, help="scan limit K"),
+         _arg("--cf-depth", type=int, default=40))),
+    "lyapunov": Command(
+        "finite-n Lyapunov exponent over an energy grid", "E,lyapunov", _lyapunov,
+        ("theta", "potential", "grid"),
+        (_arg("--n", type=int, default=10000),
+         _arg("--x-grid", type=int, default=32),
+         _arg("--grid", choices=["orbit", "uniform"], default="orbit")),
+        plot=(0, 1, False),
+        notes="the phase grid starts at --theta"),
+    "mfunction": Command(
+        "m-functions and M on an eps ladder",
+        "eps,re_m_plus,im_m_plus,re_M,im_M,est_error,depth", _mfunction,
+        ("theta", "potential", "e", "mfun"), EPS_LADDER, plot=(0, 4, True),
+        notes="M is the Borel transform of the corner measure"),
+    "subordinacy": Command(
+        "P_(k) ladder with JL ratios",
+        "k,norm_P,det_P,eps_k,psi_mplus,ratio_jl,ratio_blabl", _subordinacy,
+        ("theta", "potential", "e", "mfun"),
+        (_arg("--k-max", type=int, default=1000),
+         _arg("--eps-floor", type=float, default=0.0,
+              help="stop the ladder at the first row whose eps_k falls "
+                   "below this (eps_k never grows with k)")),
+        plot=(0, 5, True),
+        notes="eps_k = (4 det)^-1/2, psi_mplus = psi(m+(E+i eps_k)), "
+              "ratio_jl = psi/(2 eps_k norm_P), ratio_blabl = norm_P / ||P^-1||^-3"),
+    "holder": Command(
+        "window-proxy scaling fit on an eps ladder", "E,eps,w,im_M", _holder,
+        ("theta", "potential", "e", "mfun"), EPS_LADDER, plot=(1, 2, True),
+        notes="w = 2 eps Im M(E+i eps) is an upper proxy for the corner-measure "
+              "window; the fitted log-log slope lands in the manifest"),
+    "ids": Command(
+        "integrated density of states", "E,N", _ids,
+        ("theta", "potential", "grid"),
+        (_arg("--method", choices=["finite-box", "phase-average"], default="finite-box"),
+         _arg("--size", type=int, default=3000),
+         _arg("--phases", type=int, default=64)),
+        plot=(0, 1, False),
+        notes="N is the phase-averaged spectral distribution"),
+    "thouless": Command(
+        "Thouless-formula residual on an energy grid",
+        "E,lyapunov,thouless_integral,residual", _thouless,
+        ("theta", "potential", "grid"),
+        (_arg("--n", type=int, default=20000),
+         _arg("--x-grid", type=int, default=32),
+         _arg("--size", type=int, default=5000),
+         _arg("--table-span", type=float, default=2.0,
+              help="margin added around the spectrum for the IDS table"),
+         _arg("--table-points", type=int, default=4001))),
+    "gaps": Command(
+        "gap edges from IDS plateaus", "E_left,E_right,N_plateau", _gaps,
+        ("theta", "potential", "grid"),
+        (_arg("--size", type=int, default=4000),
+         _arg("--plateau-tol", type=float, default=None)),
+        notes="the gap label N sits on k*alpha mod 1"),
+    "tx-oracle": Command(
+        "triangular cocycle closed form vs brute force",
+        "k,normX_closed,normX_brute,detX_closed,detX_brute,rel_error", _tx_oracle,
+        ("theta",),
+        (_arg("--k", type=int, default=200),
+         _arg("--r", type=int, default=3),
+         _arg("--t-hat", default="0.7", help="complex 're' or 're:im'"),
+         _arg("--x", type=float, default=0.0))),
+    "reduce": Command(
+        "Schrodinger-form reduction of a perturbed cocycle",
+        "iteration,w_norm,contraction_ratio", _reduce,
+        ("potential",),
+        (_arg("--band", type=float, default=0.05),
+         _arg("--w-norm", type=float, default=1e-3),
+         _arg("--seed", type=int, default=0),
+         _arg("--max-iter", type=int, default=12),
+         _arg("--reduce-tol", type=float, default=1e-12))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,282 +400,47 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quasispec",
         description="spectral diagnostics of one-frequency quasiperiodic Schrodinger operators")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("resonances", help="eps0-resonances of a phase")
-    _add_common(p, potential=False, energy=False)
-    p.add_argument("--eps0", type=float, default=1.0)
-    p.add_argument("--k-max", type=int, default=200, help="scan limit K")
-    p.add_argument("--cf-depth", type=int, default=40)
-
-    p = sub.add_parser("lyapunov", help="finite-n Lyapunov exponent over an energy grid")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--x-grid", type=int, default=32)
-    p.add_argument("--grid", choices=["orbit", "uniform"], default="orbit")
-
-    p = sub.add_parser(
-        "mfunction", help="m-functions and M on an eps ladder",
-        description="columns: eps, re_m_plus, im_m_plus, re_M, im_M "
-                    "(Borel transform of the corner measure), est_error, depth")
-    _add_common(p)
-    p.add_argument("--eps-min", type=float, default=1e-4)
-    p.add_argument("--eps-max", type=float, default=1e-1)
-    p.add_argument("--points", type=int, default=16)
-    p.add_argument("--allow-deep", action="store_true",
-                   help="permit eps below 1e-6 (depth grows like 1/eps)")
-
-    p = sub.add_parser(
-        "subordinacy", help="P_(k) ladder with JL ratios",
-        description="columns: k, norm_P, det_P, eps_k = (4 det)^-1/2, "
-                    "psi_mplus = psi(m+(E+i eps_k)), "
-                    "ratio_jl = psi/(2 eps_k norm_P), "
-                    "ratio_blabl = norm_P / ||P^-1||^-3")
-    _add_common(p)
-    p.add_argument("--k-max", type=int, default=1000)
-    p.add_argument("--eps-floor", type=float, default=0.0,
-                   help="stop the ladder at the first row whose eps_k falls "
-                        "below this (eps_k never grows with k)")
-    p.add_argument("--slack", type=float, default=0.05,
-                   help="numerical slack on the closed brackets")
-
-    p = sub.add_parser(
-        "holder", help="window-proxy scaling fit on an eps ladder",
-        description="columns: E, eps, w = 2 eps Im M(E+i eps) (upper proxy "
-                    "for the corner-measure window), im_M; the fitted "
-                    "log-log slope lands in the manifest")
-    _add_common(p)
-    p.add_argument("--eps-min", type=float, default=1e-4)
-    p.add_argument("--eps-max", type=float, default=1e-1)
-    p.add_argument("--points", type=int, default=16)
-    p.add_argument("--allow-deep", action="store_true",
-                   help="permit eps below 1e-6 (depth grows like 1/eps)")
-
-    p = sub.add_parser(
-        "ids", help="integrated density of states",
-        description="columns: E, N (phase-averaged spectral distribution)")
-    _add_common(p)
-    p.add_argument("--method", choices=["finite-box", "phase-average"], default="finite-box")
-    p.add_argument("--size", type=int, default=3000)
-    p.add_argument("--phases", type=int, default=64)
-
-    p = sub.add_parser("thouless", help="Thouless-formula residual on an energy grid")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--x-grid", type=int, default=32)
-    p.add_argument("--size", type=int, default=5000)
-    p.add_argument("--table-span", type=float, default=2.0,
-                   help="margin added around the spectrum for the IDS table")
-    p.add_argument("--table-points", type=int, default=4001)
-
-    p = sub.add_parser(
-        "gaps", help="gap edges from IDS plateaus",
-        description="columns: E_left, E_right, N_plateau (the gap label "
-                    "N sits on k*alpha mod 1)")
-    _add_common(p)
-    p.add_argument("--size", type=int, default=4000)
-    p.add_argument("--plateau-tol", type=float, default=None)
-
-    p = sub.add_parser("tx-oracle", help="triangular cocycle closed form vs brute force")
-    _add_common(p, potential=False, energy=False)
-    p.add_argument("--k", type=int, default=200)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--t-hat", default="0.7", help="complex 're' or 're:im'")
-    p.add_argument("--x", type=float, default=0.0)
-
-    p = sub.add_parser("reduce", help="Schrodinger-form reduction of a perturbed cocycle")
-    _add_common(p, potential=True, energy=False)
-    p.add_argument("--band", type=float, default=0.05)
-    p.add_argument("--w-norm", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=12)
-    p.add_argument("--reduce-tol", type=float, default=1e-12)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, description="; ".join(
+            filter(None, [f"columns: {cmd.columns}", cmd.notes])))
+        flags = COMMON + sum((SHARED[group] for group in cmd.reads), ()) + cmd.flags
+        if cmd.plot:
+            flags += (_arg("--gnuplot-stub", action="store_true",
+                           help="emit a ready-to-run gnuplot script next to the data file"),)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
     return ap
 
 
-def _params_dict(args):
-    skip = {"command", "func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def run(args) -> int:
-    """Dispatch one parsed command; returns the process exit status."""
-    cmd = args.command
-    params = _params_dict(args)
+    """Run one parsed command and write its output; returns the exit
+    status.  Exit 2 writes nothing.  Exit 3 writes the rows completed
+    before the failure (the header alone when none were) and a manifest
+    with status "error" and the failure record."""
+    cmd = COMMANDS[args.command]
+    params = {name: value for name, value in sorted(vars(args).items()) if name != "command"}
+    rows = []
     try:
         _check_finite(args)
+        if getattr(args, "gnuplot_stub", False) and args.format == "json":
+            raise ValueError("--gnuplot-stub plots a CSV data file, not --format json")
         freq = resolve_alpha(args.alpha, getattr(args, "cf_depth", 40))
-        alpha = freq.alpha
-
-        if cmd == "resonances":
-            rs = resonances(freq, args.theta, args.eps0, args.k_max)
-            pairs = {j: (nabs, gap) for j, nabs, gap in resonance_repulsion_check(rs, freq)}
-            header = ["j", "n_j", "torus_dist_2theta_minus_nj_alpha", "decay_bound", "next_abs"]
-            rows = []
-            for j, k in enumerate(rs.indices):
-                nabs = pairs[j][0] if j in pairs else 0
-                rows.append([j, k, resonance_distance(freq, args.theta, k),
-                             math.exp(-abs(k) * args.eps0), nabs])
-            write_rows(args.out, header, rows, args.format)
-            write_manifest(args.out, cmd, params)
-
-        elif cmd == "lyapunov":
-            v = _potential_from_args(args)
-            grid = _energy_grid(args)
-            header = ["E", "lyapunov"]
-
-            rows = [[float(E), lyapunov(float(E), v, alpha, args.n, args.x_grid, grid=args.grid)]
-                    for E in grid]
-            write_rows(args.out, header, rows, args.format)
-            write_manifest(args.out, cmd, params)
-            if args.gnuplot_stub:
-                write_gnuplot_stub(args.out, header)
-
-        elif cmd == "mfunction":
-            v = _potential_from_args(args)
-            if args.e is None:
-                raise ValueError("mfunction needs --e")
-            if args.points < 1:
-                raise ValueError("--points must be >= 1")
-            _check_eps_floor(args)
-            eps = np.geomspace(args.eps_min, args.eps_max, args.points)
-            header = ["eps", "re_m_plus", "im_m_plus", "re_M", "im_M", "est_error", "depth"]
-            triples = _m_triples([complex(args.e, e) for e in eps], v, alpha, args.theta,
-                                 args.tol, args.depth_cap)
-            rows = [[float(e), t.m_plus.real, t.m_plus.imag, t.M.real, t.M.imag,
-                     t.est_error, t.truncation_depth] for e, t in zip(eps, triples)]
-            write_rows(args.out, header, rows, args.format)
-            write_manifest(args.out, cmd, params)
-            if args.gnuplot_stub:
-                write_gnuplot_stub(args.out, header, 0, 4, logscale=True)
-
-        elif cmd == "subordinacy":
-            v = _potential_from_args(args)
-            if args.e is None:
-                raise ValueError("subordinacy needs --e")
-            prof = profile(args.e, v, alpha, args.theta, default_k_list(args.k_max),
-                           args.tol, args.eps_floor, args.depth_cap)
-            header = prof.CSV_HEADER.split(",")
-            write_rows(args.out, header, list(prof.csv_rows()), args.format)
-            write_manifest(args.out, cmd, params)
-            if args.gnuplot_stub:
-                write_gnuplot_stub(args.out, header, 0, 5, logscale=True)
-
-        elif cmd == "holder":
-            v = _potential_from_args(args)
-            if args.e is None:
-                raise ValueError("holder needs --e")
-            _check_eps_floor(args)
-            fit = holder_fit(args.e, v, alpha, args.theta, (args.eps_min, args.eps_max),
-                             args.points, args.tol, depth_cap=args.depth_cap)
-            header = fit.CSV_HEADER.split(",")
-            write_rows(args.out, header, list(fit.csv_rows()), args.format)
-            params["fitted_slope"] = fit.slope
-            params["fit_residual"] = fit.residual
-            write_manifest(args.out, cmd, params)
-            if args.gnuplot_stub:
-                write_gnuplot_stub(args.out, header, 1, 2, logscale=True)
-
-        elif cmd == "ids":
-            v = _potential_from_args(args)
-            grid = _energy_grid(args)
-            method = args.method.replace("-", "_")
-            table = ids(v, alpha, grid, method, args.size, args.theta, args.phases)
-            header = ["E", "N"]
-            rows = [[float(a), float(b)] for a, b in zip(table.energies, table.N_values)]
-            write_rows(args.out, header, rows, args.format)
-            write_manifest(args.out, cmd, params)
-            if args.gnuplot_stub:
-                write_gnuplot_stub(args.out, header)
-
-        elif cmd == "thouless":
-            v = _potential_from_args(args)
-            grid = _energy_grid(args)
-            if args.table_points < 2:
-                raise ValueError("--table-points must be >= 2 (the IDS table "
-                                 "needs at least one cell)")
-            bound = 2.0 + v.sup_bound() + args.table_span
-            table = ids(v, alpha, np.linspace(-bound, bound, args.table_points),
-                        "finite_box", args.size, args.theta)
-            header = ["E", "lyapunov", "thouless_integral", "residual"]
-            rows = []
-            for E in grid:
-                L = lyapunov(float(E), v, alpha, args.n, args.x_grid)
-                rec = thouless_check(float(E), v, alpha, table, L)
-                rows.append([float(E), L, rec.integral, rec.residual])
-            write_rows(args.out, header, rows, args.format)
-            write_manifest(args.out, cmd, params)
-
-        elif cmd == "gaps":
-            v = _potential_from_args(args)
-            grid = _energy_grid(args)
-            if len(grid) < 2:
-                raise ValueError("gaps needs --e-min/--e-max with --e-points >= 2")
-            table = ids(v, alpha, grid, "finite_box", args.size, args.theta)
-            recs = gap_edges(table, args.plateau_tol)
-            header = ["E_left", "E_right", "N_plateau"]
-            rows = [[r.e_left, r.e_right, r.n_plateau] for r in recs]
-            write_rows(args.out, header, rows, args.format)
-            write_manifest(args.out, cmd, params)
-
-        elif cmd == "tx-oracle":
-            parts = args.t_hat.split(":")
-            t_hat = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
-            tc = TriangularCocycle(theta=args.theta, alpha=alpha, r=args.r,
-                                   t_hat=t_hat, k=args.k)
-            a = tx_closed_form(tc, args.x)
-            b = tx_bruteforce(tc, args.x)
-            scale = max(1.0, abs(b.detX))
-            header = ["k", "normX_closed", "normX_brute", "detX_closed", "detX_brute",
-                      "rel_error"]
-            rel = max(abs(a.normX - b.normX) / max(b.normX, 1.0),
-                      abs(a.detX - b.detX) / scale, abs(a.x1 - b.x1) / scale)
-            rows = [[args.k, a.normX, b.normX, a.detX, b.detX, rel]]
-            write_rows(args.out, header, rows, args.format)
-            write_manifest(args.out, cmd, params)
-
-        elif cmd == "reduce":
-            v = _potential_from_args(args)
-            rng = np.random.default_rng(args.seed)
-
-            def rand_entry():
-                co = {0: complex(rng.standard_normal(), 0.0)}
-                for k in range(1, 4):
-                    c = complex(rng.standard_normal(), rng.standard_normal())
-                    co[k], co[-k] = c, c.conjugate()
-                f = BandFunction(co, args.band)
-                nrm = f.norm()
-                return BandFunction({k: args.w_norm * c / nrm for k, c in co.items()},
-                                    args.band)
-
-            A = perturbed_schrodinger(v, (rand_entry(), rand_entry(), rand_entry()),
-                                      args.band)
-            res = schrodinger_reduction(A, v, alpha, args.band, args.max_iter,
-                                        args.reduce_tol)
-            header = ["iteration", "w_norm", "contraction_ratio"]
-            rows = [[i, wn, res.contraction_ratios[i] if i < len(res.contraction_ratios)
-                     else float("nan")] for i, wn in enumerate(res.w_norms)]
-            write_rows(args.out, header, rows, args.format)
-            params["residual"] = res.residual
-            params["iterations"] = res.iterations
-            write_manifest(args.out, cmd, params)
-
-        else:  # pragma: no cover
-            raise SystemExit(f"unknown command {cmd}")
-        return EXIT_OK
-
+        v = _potential_from_args(args) if "potential" in cmd.reads else None
+        for row in cmd.rows(args, freq, v, params):
+            rows.append(row)
     except (NoConvergence, NotContracting, OverflowError) as exc:
-        write_manifest(getattr(args, "out", None), cmd, params, status="error",
-                       error={"code": type(exc).__name__, "message": str(exc)})
+        _write(args, cmd, rows, params, {"code": type(exc).__name__, "message": str(exc)})
         print(f"quasispec: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (RationalDetected, ValueError) as exc:
         print(f"quasispec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _write(args, cmd, rows, params)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(args)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -182,6 +182,28 @@ def block_totals(rows, shape, dtype=float, every=RESCALE_EVERY):
     return a, b, c, d, ex
 
 
+def block_starts(ta, tb, tc, td, tex):
+    """The sequential fold of block totals 2**tex [[ta, tb], [tc, td]]
+    (block index first, as ``block_totals`` returns them) into the
+    product at the start of every block: I for block 0, and total_i
+    times start_i for block i + 1.  Returns (a, b, c, d, sx), one block
+    longer than the totals, the starts being 2**sx [[a, b], [c, d]];
+    each start is rescaled by a power of two (exact), so its largest
+    entry lies in [0.5, 1).  The products run on the stacked entries,
+    so a block costs a few numpy calls: over narrow lanes (a Sturm count
+    at one energy) the calls, not the arithmetic, are the cost."""
+    t = np.array([[ta, tb], [tc, td]])
+    m = np.empty((len(ta) + 1, 2, 2) + ta.shape[1:], ta.dtype)
+    m[0] = np.eye(2).reshape((2, 2) + (1,) * (ta.ndim - 1))
+    sx = np.zeros((len(ta) + 1,) + ta.shape[1:], dtype=np.int64)
+    for i in range(len(ta)):
+        n = t[:, 0, i, None] * m[i, 0] + t[:, 1, i, None] * m[i, 1]
+        k = np.frexp(np.abs(n).max(axis=(0, 1)))[1]
+        m[i + 1] = np.ldexp(n, -k)
+        sx[i + 1] = sx[i] + tex[i] + k
+    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], sx
+
+
 def _max_exponent(a, b, c, d):
     """Elementwise binary exponent k of max(|a|, |b|, |c|, |d|), so that
     scaling by 2**-k (exact) brings the largest into [0.5, 1)."""
@@ -209,8 +231,7 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
     row (one step of every block), never once per step:
 
     1. the totals of the B - 1 full blocks (``block_totals``);
-    2. a fold of the totals, in log-scaled form (mantissa matrix and
-       power-of-two exponent), gives every block's starting product;
+    2. their fold into every block's starting product (``block_starts``);
     3. from those starts, the products inside the blocks: all B blocks,
        with the norm of every prefix, for keep_all; otherwise only the
        last block, whose end is A_n.
@@ -231,21 +252,8 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
             yield E - v(phases + (first + t) * alpha)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # 1. block totals
-        ta, tb, tc, td, tex = block_totals(rows(range(B - 1), S), (B - 1, P))
-        # 2. block starts: A_0 = I, A_{(i+1) S} = total_i A_{i S}
-        a, b, c, d = (np.empty((B, P)) for _ in range(4))
-        sx = np.zeros((B, P), dtype=np.int64)
-        a[0], b[0], c[0], d[0] = 1.0, 0.0, 0.0, 1.0
-        for i in range(B - 1):
-            na = ta[i] * a[i] + tb[i] * c[i]
-            nb = ta[i] * b[i] + tb[i] * d[i]
-            nc = tc[i] * a[i] + td[i] * c[i]
-            nd = tc[i] * b[i] + td[i] * d[i]
-            k = _max_exponent(na, nb, nc, nd)
-            a[i + 1], b[i + 1] = np.ldexp(na, -k), np.ldexp(nb, -k)
-            c[i + 1], d[i + 1] = np.ldexp(nc, -k), np.ldexp(nd, -k)
-            sx[i + 1] = sx[i] + tex[i] + k
+        # 1-2. block totals, folded into block starts
+        a, b, c, d, sx = block_starts(*block_totals(rows(range(B - 1), S), (B - 1, P)))
         # 3. inside the blocks
         if keep_all:
             blocks, steps = range(B), S

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Potential, block_count, block_totals, orbit
+from .cocycle import Potential, block_count, block_starts, block_totals, orbit
 from .weyl import DEPTH_CAP_DEFAULT, _m_triples, m_triple
 
 _TINY = 1e-300  # a zero pivot is replaced by -_TINY
@@ -41,8 +41,9 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
 
     1. the pivot map of each block is a Moebius map, the product of its
        companion steps [[a_j - E, -1], [1, 0]] (``cocycle.block_totals``);
-    2. a fold of those maps over the blocks gives each block's starting
-       pivot, the first block starting at inf;
+    2. their fold over the blocks (``cocycle.block_starts``) gives each
+       block's starting pivot, a / c of its starting product, the first
+       block starting at inf;
     3. the pivot recurrence above, with its zero rule, runs inside all
        blocks at once from those starts and counts the negative pivots.
 
@@ -99,27 +100,20 @@ def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Passes 1-2 of ``sturm_counts`` from the diagonal of blocks
     0 .. B-2 (shape (B - 1, S)): the pivot entering each of the B blocks,
     that of the previous block's last site, shape (B, len(E))."""
-    B, S = full.shape[0] + 1, full.shape[1]
-    d = np.empty((B, E.size))
-    d[0] = np.inf
-    if B == 1:
-        return d
+    if not len(full):
+        return np.full((1, E.size), np.inf)
     # 1. Moebius maps of blocks 0 .. B-2
-    e = np.empty((B - 1, E.size))
+    e = np.empty((len(full), E.size))
 
     def rows():
-        for t in range(S):
+        for t in range(full.shape[1]):
             np.subtract(full[:, t, None], E, out=e)
             yield e
 
-    ta, tb, tc, td, _ = block_totals(rows(), e.shape)
-    # 2. fold: d = p / q, the pair rescaled by powers of two
-    p, q = np.ones(E.size), np.zeros(E.size)
-    for i in range(B - 1):
-        p, q = ta[i] * p + tb[i] * q, tc[i] * p + td[i] * q
-        k = np.frexp(np.maximum(np.abs(p), np.abs(q)))[1]
-        p, q = np.ldexp(p, -k), np.ldexp(q, -k)
-        d[i + 1] = p / q
+    # 2. fold: the pivot is a / c of the block's starting product (inf, 1/0,
+    # for block 0); the power-of-two scaling of the starts leaves it exact
+    a, _, c, _, _ = block_starts(*block_totals(rows(), e.shape))
+    d = a / c
     d[d == 0.0] = -_TINY
     d[d == -np.inf] = np.inf  # follows a zero pivot, which counts as -tiny
     return d
@@ -215,12 +209,6 @@ class HolderFit:
     def im_sqrt_eps(self) -> np.ndarray:
         """Im M * eps^{1/2} along the ladder (bounded above at good energies)."""
         return self.im_M * np.sqrt(self.eps)
-
-    CSV_HEADER = "E,eps,w,im_M"
-
-    def csv_rows(self):
-        for e, w, im in zip(self.eps, self.w, self.im_M):
-            yield [self.E, e, w, im]
 
 
 def holder_fit(E: float, v: Potential, alpha: float, theta: float,

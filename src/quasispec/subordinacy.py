@@ -357,14 +357,8 @@ class SubordinacyProfile:
     theta: float
     rows: tuple[ProfileRow, ...]
 
-    CSV_HEADER = "k,norm_P,det_P,eps_k,psi_mplus,ratio_jl,ratio_blabl"
-
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
-
-    def csv_rows(self):
-        for r in self.rows:
-            yield [r.k, r.norm_P, r.det_P, r.eps_k, r.psi_mplus, r.ratio_jl, r.ratio_blabl]
 
 
 def default_k_list(k_max: int, ratio: float = 1.3) -> list[int]:

@@ -1,9 +1,10 @@
 import json
 import math
+import re
 
 import pytest
 
-from quasispec.cli import main
+from quasispec.cli import COMMANDS, main
 from quasispec.subordinacy import JL_LOWER, JL_UPPER
 
 
@@ -111,6 +112,23 @@ class TestOtherCommands:
         _, rows = read_csv(out)
         assert all(float(r[2]) > 0 and float(r[4]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("cmd, extra", [
+        ("lyapunov", []),
+        ("thouless", ["--size", "200", "--table-points", "101"]),
+    ])
+    def test_theta_starts_the_orbit_grid(self, tmp_path, cmd, extra):
+        # AMO at lambda = 2: the finite-n average over a few orbit phases
+        # depends on where the orbit starts
+        values = []
+        for theta in ("0", "0.37"):
+            out = tmp_path / f"{theta}.csv"
+            assert main([cmd, "--potential", "amo", "--lambda", "2", "--theta", theta,
+                         "--e", "0.3", "--n", "500", "--x-grid", "2", *extra,
+                         "--out", str(out)]) == 0
+            header, rows = read_csv(out)
+            values.append(rows[0][header.index("lyapunov")])
+        assert values[0] != values[1]
+
     def test_gnuplot_stub(self, tmp_path):
         out = tmp_path / "l.csv"
         rc = main(["lyapunov", "--potential", "zero", "--e", "2.0", "--n", "200",
@@ -118,6 +136,35 @@ class TestOtherCommands:
         assert rc == 0
         stub = (tmp_path / "l.csv.gp").read_text()
         assert "plot" in stub and "l.csv" in stub
+
+
+# one tiny run of every subcommand
+TINY = {
+    "resonances": ["--k-max", "10"],
+    "lyapunov": ["--e", "0.3", "--n", "50", "--x-grid", "2"],
+    "mfunction": ["--e", "0.3", "--eps-min", "1e-2", "--points", "2"],
+    "subordinacy": ["--e", "0.3", "--k-max", "5"],
+    "holder": ["--e", "0.3", "--eps-min", "1e-2", "--points", "4"],
+    "ids": ["--e", "0.3", "--size", "100"],
+    "thouless": ["--e", "0.3", "--n", "50", "--x-grid", "2", "--size", "100",
+                 "--table-points", "11"],
+    "gaps": ["--e-min", "-3", "--e-max", "3", "--e-points", "11", "--size", "100"],
+    "tx-oracle": ["--k", "5"],
+    "reduce": ["--potential", "trigpoly", "--coeffs", "0:3:0,1:-0.5:0,-1:-0.5:0",
+               "--seed", "5"],
+}
+
+
+class TestColumns:
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_help_lists_the_written_columns(self, tmp_path, capsys, monkeypatch, cmd):
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside the column list
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        listed = re.search(r"columns: ([\w,]+)", capsys.readouterr().out).group(1)
+        out = tmp_path / "t.csv"
+        assert main([cmd, *TINY[cmd], "--out", str(out)]) == 0
+        assert read_csv(out)[0] == listed.split(",")
 
 
 class TestExitCodes:
@@ -142,6 +189,43 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["error"]["code"] == "NoConvergence"
+
+    @pytest.mark.parametrize("argv, header", [
+        (["mfunction", "--e", "0.1", "--eps-min", "1e-4", "--depth-cap", "200"],
+         "eps,re_m_plus,im_m_plus,re_M,im_M,est_error,depth"),
+        (["subordinacy", "--lambda", "2", "--e", "0.1", "--k-max", "1000"],
+         "k,norm_P,det_P,eps_k,psi_mplus,ratio_jl,ratio_blabl"),
+    ], ids=["mfunction", "subordinacy"])
+    def test_numerical_failure_leaves_the_completed_rows(self, tmp_path, argv, header):
+        # the rows of both come from one walk, so none is complete: the
+        # data file is the header alone
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert out.read_text() == header + "\n"
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["status"] == "error" and "code" in manifest["error"]
+
+    def test_gnuplot_stub_with_json_is_2(self, tmp_path, capsys):
+        rc = main(["lyapunov", "--potential", "zero", "--e", "2.0", "--n", "200",
+                   "--x-grid", "2", "--format", "json", "--gnuplot-stub",
+                   "--out", str(tmp_path / "l.json")])
+        assert rc == 2
+        assert "--gnuplot-stub" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["ids", "--e", "0.0", "--tol", "1e-8"],
+        ["gaps", "--depth-cap", "100"],
+        ["mfunction", "--e", "0.0", "--e-min", "-1"],
+        ["subordinacy", "--e", "0.0", "--slack", "0.1"],
+        ["reduce", "--theta", "0.1"],
+        ["thouless", "--e", "0.0", "--gnuplot-stub"],
+    ], ids=["ids-tol", "gaps-depth-cap", "mfunction-e-min", "subordinacy-slack",
+            "reduce-theta", "thouless-gnuplot-stub"])
+    def test_flag_the_command_does_not_read_is_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_rounded_away_m_function_is_3(self, tmp_path, capsys):
         # eps_k of k = 30 at E = 2.9 is about 1.7e-18: the computed m+ loses
