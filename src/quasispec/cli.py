@@ -142,6 +142,8 @@ def _check_finite(args):
 
 def _energy_grid(args) -> np.ndarray:
     if args.e is not None:
+        if args.e_min is not None or args.e_max is not None:
+            raise ValueError("--e excludes --e-min/--e-max")
         return np.array([args.e])
     if args.e_min is None or args.e_max is None:
         raise ValueError("need --e or both --e-min/--e-max")
@@ -192,8 +194,10 @@ def _holder(args, freq, v, params):
 
 
 def _ids(args, freq, v, params):
+    if args.phases is not None and args.method == "finite-box":
+        raise ValueError("--phases is read by --method phase-average only")
     table = ids(v, freq.alpha, _energy_grid(args), args.method.replace("-", "_"),
-                args.size, args.theta, args.phases)
+                args.size, args.theta, 64 if args.phases is None else args.phases)
     return [[float(a), float(b)] for a, b in zip(table.energies, table.N_values)]
 
 
@@ -356,7 +360,7 @@ COMMANDS = {
         ("theta", "potential", "grid"),
         (_arg("--method", choices=["finite-box", "phase-average"], default="finite-box"),
          _arg("--size", type=int, default=3000),
-         _arg("--phases", type=int, default=64)),
+         _arg("--phases", type=int, help="phases of --method phase-average (default 64)")),
         plot=(0, 1, False),
         notes="N is the phase-averaged spectral distribution"),
     "thouless": Command(

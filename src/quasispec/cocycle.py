@@ -9,6 +9,11 @@ kernel, ``block_totals``, which rescales by powers of two every 32 steps
 against overflow; every product-returning routine reports the
 accumulated log scale, so the exact product is exp(log_scale) * matrix.
 Matrices are plain 2x2 ndarrays.
+
+The small algebra the other modules share is written here once: the
+Fourier mode sum and strip majorant of a mode table (``mode_sum``,
+``strip_majorant``), and the adjugate and power-of-two normaliser of
+stacks of 2x2 matrices (``adjugate``, ``normalize_stack``).
 """
 
 from __future__ import annotations
@@ -22,30 +27,52 @@ RESCALE_EVERY = 32
 LN2 = math.log(2.0)
 
 
-class Potential:
-    """Real-analytic sampled potential on R/Z.
+def mode_sum(coeffs: dict, x):
+    """The Fourier mode sum sum_k c_k e^{2 pi i k x} of ``coeffs`` {k: c_k}
+    at (complex) x, as a complex array of the shape of x."""
+    xs = np.asarray(x)
+    out = np.zeros(xs.shape, dtype=complex)
+    for k, c in sorted(coeffs.items()):
+        out = out + c * np.exp(2j * np.pi * k * xs)
+    return out
 
-    Two variants: ``amo`` (2*lambda*cos(2 pi x)) and ``trigpoly`` (a finite
-    set of Fourier modes with hermitian coefficients, so the function is
-    real on the real axis).  The evaluator accepts complex arguments, so
-    the function extends to any strip |Im x| <= band.
+
+def strip_majorant(ks, cs, band: float):
+    """The coefficient majorant sum |c_k| e^{2 pi band |k|} of sup |f| on
+    the strip |Im x| <= band, for modes ``ks`` and coefficients ``cs``
+    (broadcast), summed over axis 0: exact to compute for trigonometric
+    polynomials, and submultiplicative."""
+    return np.sum(np.abs(cs) * np.exp(2 * np.pi * band * np.abs(ks)), axis=0)
+
+
+class Potential:
+    """Real-analytic sampled potential on R/Z: a finite set of Fourier
+    modes with hermitian coefficients, so the function is real on the
+    real axis.  ``amo`` (2*lambda*cos(2 pi x)) is the modes +-1 at
+    lambda; ``variant`` and ``lam`` only label it for ``to_json`` and
+    ``repr``.  The evaluator accepts complex arguments, so the function
+    extends to any strip |Im x| <= band.
     """
 
-    __slots__ = ("variant", "lam", "coeffs")
+    __slots__ = ("variant", "lam", "coeffs", "_c0", "_waves")
 
     def __init__(self, variant: str, lam: float = 0.0, coeffs: dict | None = None):
         self.variant = variant
         self.lam = float(lam)
         if variant == "amo":
-            self.coeffs = {1: complex(lam), -1: complex(lam)}
+            coeffs = {1: complex(lam), -1: complex(lam)}
         elif variant == "trigpoly":
             coeffs = {int(k): complex(c) for k, c in (coeffs or {}).items() if c != 0}
             for k, c in coeffs.items():
                 if abs(coeffs.get(-k, 0).conjugate() - c) > 1e-13 * max(1.0, abs(c)):
                     raise ValueError("trig coefficients must satisfy v[-k] == conj(v[k])")
-            self.coeffs = coeffs
         else:
             raise ValueError(f"unknown potential variant {variant!r}")
+        self.coeffs = coeffs
+        self._c0 = coeffs.get(0, 0j).real
+        # v(x) = c_0 + sum_{k > 0} 2 Re c_k cos(2 pi k x) - 2 Im c_k sin(2 pi k x)
+        self._waves = [(2 * np.pi * k, 2 * c.real, 2 * c.imag)
+                       for k, c in sorted(coeffs.items()) if k > 0]
 
     @classmethod
     def amo(cls, lam: float) -> "Potential":
@@ -60,23 +87,32 @@ class Potential:
         return cls("trigpoly", coeffs={})
 
     def __call__(self, x):
-        if self.variant == "amo":
-            if np.iscomplexobj(x) or isinstance(x, complex):
-                return 2 * self.lam * np.cos(2 * np.pi * np.asarray(x, dtype=complex))
-            return 2 * self.lam * np.cos(2 * np.pi * np.asarray(x, dtype=float)) if np.ndim(x) else 2 * self.lam * math.cos(2 * math.pi * x)
-        if not self.coeffs:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        xs = np.asarray(x)
-        out = np.zeros(xs.shape, dtype=complex)
-        for k, c in sorted(self.coeffs.items()):
-            out = out + c * np.exp(2j * np.pi * k * xs)
-        if not np.iscomplexobj(xs):
-            out = out.real
-        return out if np.ndim(x) else out[()]
+        """v(x): the mode sum at complex x; at real x one cosine per mode
+        k > 0, plus a sine where Im c_k != 0, so ``amo`` is
+        2 lambda cos(2 pi x) bit for bit."""
+        if not np.ndim(x):
+            return self(np.array([x]))[0].item()
+        if np.iscomplexobj(x):
+            return mode_sum(self.coeffs, x)
+        xs = np.asarray(x, dtype=float)
+        if not self._waves:
+            return np.full(xs.shape, self._c0)
+        out = None
+        for w, re, im in self._waves:
+            arg = w * xs
+            sin = np.sin(arg) if im else None
+            term = np.cos(arg, out=arg)  # in place: one new array per mode
+            term *= re
+            if im:
+                term -= im * sin
+            out = term if out is None else np.add(out, term, out=out)
+        if self._c0:
+            out += self._c0
+        return out
 
     def sup_bound(self, band: float = 0.0) -> float:
         """Coefficient majorant for sup of |v| on the strip |Im x| <= band."""
-        return float(sum(abs(c) * math.exp(2 * math.pi * band * abs(k)) for k, c in self.coeffs.items()))
+        return float(strip_majorant(list(self.coeffs), list(self.coeffs.values()), band))
 
     def to_json(self) -> dict:
         if self.variant == "amo":
@@ -123,7 +159,7 @@ def iterate(z, v: Potential, alpha: float, x: float, n: int) -> tuple[np.ndarray
         raise ValueError(f"iterate needs a real energy, got {z}")
     if n < 0:
         m, log_scale = iterate(z, v, alpha, x + n * alpha, -n)
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]), log_scale
+        return adjugate(m), log_scale
     a, b, c, d, ex = block_totals(z.real - v(orbit(x, alpha, 0, n)), ())
     nrm = _norm(a, b, c, d)
     return np.array([[a, b], [c, d]]) / nrm, float(ex * LN2 + np.log(nrm))
@@ -197,11 +233,28 @@ def block_starts(ta, tb, tc, td, tex):
     m[0] = np.eye(2).reshape((2, 2) + (1,) * (ta.ndim - 1))
     sx = np.zeros((len(ta) + 1,) + ta.shape[1:], dtype=np.int64)
     for i in range(len(ta)):
-        n = t[:, 0, i, None] * m[i, 0] + t[:, 1, i, None] * m[i, 1]
-        k = np.frexp(np.abs(n).max(axis=(0, 1)))[1]
-        m[i + 1] = np.ldexp(n, -k)
-        sx[i + 1] = sx[i] + tex[i] + k
+        m[i + 1] = t[:, 0, i, None] * m[i, 0] + t[:, 1, i, None] * m[i, 1]
+        sx[i + 1] = sx[i] + tex[i] + normalize_stack(m[i + 1])
     return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], sx
+
+
+def normalize_stack(x):
+    """Scale each matrix of the (2, 2, ...) stack x, in place, by the power
+    of two that brings its max-abs entry into [0.5, 1): exact, and
+    invisible to a Moebius action.  Returns the exponents k, so the
+    matrices were 2**k times the scaled ones."""
+    k = np.frexp(np.abs(x).max(axis=(0, 1)))[1]
+    x *= np.ldexp(1.0, -k)
+    return k
+
+
+def adjugate(m):
+    """Adjugate [[d, -b], [-c, a]] of the matrices [[a, b], [c, d]] on the
+    last two axes of m: the inverse of a matrix with det 1."""
+    adj = np.empty_like(m)
+    adj[..., 0, 0], adj[..., 1, 1] = m[..., 1, 1], m[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -m[..., 0, 1], -m[..., 1, 0]
+    return adj
 
 
 def _max_exponent(a, b, c, d):

@@ -2,7 +2,8 @@
 the Schrodinger-form reduction iteration, and constant-cocycle
 normalisation.
 
-Band norms are the Fourier-coefficient majorant sum |f_k| e^{2 pi eps |k|},
+Band norms are the Fourier-coefficient majorant sum |f_k| e^{2 pi eps |k|}
+(``cocycle.strip_majorant``, as are the mode sum and the 2x2 adjugate),
 an upper bound for the sup of |f| on the strip |Im x| <= eps that is
 exact to compute for trigonometric polynomials; all contraction
 arguments survive under any submultiplicative dominating norm.  The
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import torus_norm
-from .cocycle import Potential
+from .cocycle import Potential, adjugate, mode_sum, strip_majorant
 
 MODE_DROP_REL = 1e-16
 LOG_GUARD = math.log(2.0)
@@ -47,27 +48,15 @@ class BandFunction:
 
     def norm(self) -> float:
         """Majorant band norm: sum |f_k| e^{2 pi band |k|}."""
-        return float(sum(abs(c) * math.exp(2 * math.pi * self.band * abs(k))
-                         for k, c in self.coeffs.items()))
+        return float(strip_majorant(list(self.coeffs), list(self.coeffs.values()), self.band))
 
     def __call__(self, x):
-        xs = np.asarray(x)
-        out = np.zeros(xs.shape, dtype=complex)
-        for k, c in sorted(self.coeffs.items()):
-            out = out + c * np.exp(2j * np.pi * k * xs)
+        out = mode_sum(self.coeffs, x)
         return out if np.ndim(x) else complex(out[()])
 
     def shifted(self, dx: float) -> "BandFunction":
         return BandFunction({k: c * cmath.exp(2j * math.pi * k * dx)
                              for k, c in self.coeffs.items()}, self.band)
-
-    def truncated(self, rel: float = MODE_DROP_REL) -> "BandFunction":
-        nrm = self.norm()
-        if nrm == 0:
-            return self
-        keep = {k: c for k, c in self.coeffs.items()
-                if abs(c) * math.exp(2 * math.pi * self.band * abs(k)) >= rel * nrm}
-        return BandFunction(keep, self.band)
 
     def to_grid(self, n: int) -> np.ndarray:
         spec = np.zeros(n, dtype=complex)
@@ -78,37 +67,41 @@ class BandFunction:
     @classmethod
     def from_grid(cls, values: np.ndarray, band: float,
                   rel: float = MODE_DROP_REL) -> "BandFunction":
-        """Coefficients from an equispaced grid on [0,1).
-
-        Raw coefficients below 1e-13 of the largest one are FFT noise,
-        not signal; they are dropped before the exponential band weight
-        can amplify them.
-        """
-        n = len(values)
-        spec = np.fft.fft(values) / n
-        floor = max(1e-13 * float(np.max(np.abs(spec))), 1e-14)
-        coeffs = {}
-        for i, c in enumerate(spec):
-            k = i if i <= n // 2 else i - n
-            if abs(c) > floor:
-                coeffs[k] = complex(c)
-        return cls(coeffs, band).truncated(rel)
+        """Coefficients from an equispaced grid on [0,1): the noise-floored
+        spectrum (``_spectrum``), less the modes whose majorant term is
+        below ``rel`` of the band norm."""
+        k, spec = _spectrum(values)
+        terms = strip_majorant(k[None], spec[None], band)  # one term per mode
+        keep = (spec != 0) & (terms >= rel * terms.sum())
+        return cls(dict(zip(k[keep].tolist(), spec[keep].tolist())), band)
 
     @classmethod
     def constant(cls, c, band: float) -> "BandFunction":
         return cls({0: complex(c)} if c != 0 else {}, band)
 
-    @classmethod
-    def from_potential(cls, v: Potential, band: float) -> "BandFunction":
-        return cls(dict(v.coeffs), band)
+
+def _spectrum(values: np.ndarray):
+    """Fourier coefficients of equispaced grid values on [0, 1), along
+    axis 0: the modes k (FFT order, n // 2 positive) and the coefficients,
+    shaped like ``values``.  Coefficients below the noise floor (1e-13 of
+    the largest of their column, or 1e-14 absolute for O(1) inputs) are
+    FFT roundoff, not signal; they are zeroed before the exponential band
+    weight can amplify them."""
+    n = len(values)
+    spec = np.fft.fft(values, axis=0) / n
+    mag = np.abs(spec)
+    spec[mag < np.maximum(1e-13 * mag.max(axis=0), 1e-14)] = 0.0
+    k = np.arange(n)
+    k[n // 2 + 1:] -= n
+    return k, spec
 
 
 def _grid_shift(values: np.ndarray, dx: float) -> np.ndarray:
-    """Evaluate the band-limited interpolant of grid values at x + dx."""
+    """Evaluate the band-limited interpolant of grid values at x + dx,
+    along axis 0 (a whole stack of 2x2 grids at once)."""
     n = len(values)
-    spec = np.fft.fft(values)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return np.fft.ifft(spec * np.exp(2j * np.pi * k * dx))
+    k = np.fft.fftfreq(n, d=1.0 / n).reshape((n,) + (1,) * (values.ndim - 1))
+    return np.fft.ifft(np.fft.fft(values, axis=0) * np.exp(2j * np.pi * k * dx), axis=0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,7 @@ class MatFunction:
 def schrodinger_matfunction(p: Potential, band: float) -> MatFunction:
     """The cocycle map [[p(x), -1], [1, 0]] as a MatFunction."""
     return MatFunction((
-        (BandFunction.from_potential(p, band), BandFunction.constant(-1.0, band)),
+        (BandFunction(dict(p.coeffs), band), BandFunction.constant(-1.0, band)),
         (BandFunction.constant(1.0, band), BandFunction.constant(0.0, band)),
     ), band)
 
@@ -176,8 +169,8 @@ def certified_min_abs(p: Potential, band: float, grid: int = 4096) -> float:
     xs = np.arange(grid) / grid
     vals = np.concatenate([p(xs + 1j * band), p(xs - 1j * band),
                            np.asarray(p(xs), dtype=complex)])
-    lip = sum(abs(c) * 2 * math.pi * abs(k) * math.exp(2 * math.pi * band * abs(k))
-              for k, c in p.coeffs.items())
+    ks, cs = np.array(list(p.coeffs)), np.array(list(p.coeffs.values()))
+    lip = strip_majorant(ks, 2 * np.pi * ks * cs, band)  # the majorant of p'
     return float(np.min(np.abs(vals)) - lip / (2 * grid))
 
 
@@ -446,23 +439,10 @@ def _schrodinger_grid(vg: np.ndarray) -> np.ndarray:
 
 
 def _band_norms_from_grid(values: np.ndarray, band: float) -> float:
-    """Max over matrix entries of the coefficient-majorant band norm.
-
-    Coefficients below the pipeline noise floor (1e-14 absolute for
-    O(1) inputs, or 1e-13 of the entry's largest) are FFT roundoff, not
-    signal; they are zeroed before the exponential weight can amplify
-    them.
-    """
-    n = values.shape[0]
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    weight = np.exp(2 * np.pi * band * k)
-    best = 0.0
-    for i in range(2):
-        for j in range(2):
-            spec = np.abs(np.fft.fft(values[:, i, j]) / n)
-            spec[spec < max(1e-13 * spec.max(), 1e-14)] = 0.0
-            best = max(best, float(np.sum(spec * weight)))
-    return best
+    """Max over the entries of a (grid, 2, 2) stack of the
+    coefficient-majorant band norm of the noise-floored spectrum."""
+    k, spec = _spectrum(values)
+    return float(strip_majorant(k[:, None, None], spec, band).max())
 
 
 def schrodinger_reduction(A: MatFunction, v: Potential, alpha: float, band: float,
@@ -490,17 +470,7 @@ def schrodinger_reduction(A: MatFunction, v: Potential, alpha: float, band: floa
     Ag = A0.copy()
     vgrid = np.asarray(v(xs), dtype=float)
     B = np.tile(np.eye(2, dtype=complex), (grid, 1, 1))
-
-    def sinv_times(vg, M):
-        # [[0, 1], [-1, vg]] @ M
-        out = np.empty_like(M)
-        out[:, 0, 0] = M[:, 1, 0]
-        out[:, 0, 1] = M[:, 1, 1]
-        out[:, 1, 0] = -M[:, 0, 0] + vg * M[:, 1, 0]
-        out[:, 1, 1] = -M[:, 0, 1] + vg * M[:, 1, 1]
-        return out
-
-    W = mat_log_grid(sinv_times(vgrid, Ag))
+    W = mat_log_grid(adjugate(_schrodinger_grid(vgrid)) @ Ag)
     wn = _band_norms_from_grid(W, band)
     w_norms = [wn]
     ratios: list[float] = []
@@ -514,27 +484,17 @@ def schrodinger_reduction(A: MatFunction, v: Potential, alpha: float, band: floa
         w2 = W[:, 0, 1]
         w3 = W[:, 1, 0]
         r = w1 / vgrid
-        r_plus = _grid_shift(r, alpha)
-        r_minus = _grid_shift(r, -alpha)
-        w2_plus = _grid_shift(w2, alpha)
         s = np.zeros((grid, 2, 2), dtype=complex)
         s[:, 0, 1] = w2 + r
-        s[:, 1, 0] = -r_minus
-        vt = vgrid - w3 + w2_plus + r_plus + vgrid * w1 - r_minus
+        s[:, 1, 0] = -_grid_shift(r, -alpha)
+        s_plus = _grid_shift(s, alpha)
+        # s_plus[:, 0, 1] = w2(x + a) + r(x + a) and s[:, 1, 0] = -r(x - a)
+        vt = vgrid - w3 + s_plus[:, 0, 1] + vgrid * w1 + s[:, 1, 0]
         imag_asym = max(imag_asym, float(np.max(np.abs(vt.imag))))
-        vt = vt.real
-        es = mat_exp_grid(s)
-        s_plus = np.empty_like(s)
-        s_plus[:, 0, 1] = _grid_shift(s[:, 0, 1], alpha)
-        s_plus[:, 1, 0] = _grid_shift(s[:, 1, 0], alpha)
-        s_plus[:, 0, 0] = 0.0
-        s_plus[:, 1, 1] = 0.0
-        es_plus = mat_exp_grid(s_plus)
-        es_inv = mat_exp_grid(-s)
-        Ag = es_plus @ Ag @ es_inv
-        B = es @ B
-        vgrid = vt
-        W = mat_log_grid(sinv_times(vgrid, Ag))
+        Ag = mat_exp_grid(s_plus) @ Ag @ mat_exp_grid(-s)
+        B = mat_exp_grid(s) @ B
+        vgrid = vt.real
+        W = mat_log_grid(adjugate(_schrodinger_grid(vgrid)) @ Ag)
         wn_new = _band_norms_from_grid(W, band)
         ratios.append(wn_new / wn ** 2 if wn > 0 else 0.0)
         if wn_new > CONTRACTION_GUARD * wn ** 1.5:
@@ -552,18 +512,10 @@ def schrodinger_reduction(A: MatFunction, v: Potential, alpha: float, band: floa
     vcoeffs = {k: 0.5 * (c + vf.coeffs.get(-k, 0.0).conjugate())
                for k, c in vf.coeffs.items()}
     v_out = Potential.trig(vcoeffs)
-    B_plus = np.empty_like(B)
-    for i in range(2):
-        for j in range(2):
-            B_plus[:, i, j] = _grid_shift(B[:, i, j], alpha)
-    Binv = np.empty_like(B)
-    detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    Binv[:, 0, 0] = B[:, 1, 1] / detB
-    Binv[:, 0, 1] = -B[:, 0, 1] / detB
-    Binv[:, 1, 0] = -B[:, 1, 0] / detB
-    Binv[:, 1, 1] = B[:, 0, 0] / detB
+    # B is a product of exponentials of traceless matrices: det B = 1
+    conj = _grid_shift(B, alpha) @ A0 @ adjugate(B)
     target = _schrodinger_grid(np.asarray(v_out(xs), dtype=float))
-    residual = float(np.max(np.linalg.norm(B_plus @ A0 @ Binv - target, 2, axis=(1, 2))))
+    residual = float(np.max(np.linalg.norm(conj - target, 2, axis=(1, 2))))
     return ReductionResult(
         v_out=v_out, B=MatFunction.from_grid(B, band), residual=residual,
         w_norms=tuple(w_norms), contraction_ratios=tuple(ratios),

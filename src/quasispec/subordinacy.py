@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import LN2, RESCALE_EVERY, Potential, orbit, solution_norm_sq_batch
+from .cocycle import (LN2, RESCALE_EVERY, Potential, normalize_stack, orbit,
+                      solution_norm_sq_batch)
 from .weyl import DEPTH_CAP_DEFAULT, m_plus_lanes, psi, rotate_beta
 
 JL_UPPER = 5.0 + math.sqrt(24.0)
@@ -174,8 +175,7 @@ def _blocked_pass(E: float, v: Potential, alpha: float, x: float, j0: int, J: in
             w += sq
             s += c11
             if t % RESCALE_EVERY == RESCALE_EVERY - 1:
-                g = np.frexp(np.abs(np.concatenate((top, bot))).max(axis=0))[1]
-                np.ldexp(rows, -g, out=rows)
+                g = normalize_stack(rows)
                 for m in (w, c11, c12, c22, s, unit):
                     np.ldexp(m, -2 * g, out=m)
                 ex += g
@@ -434,25 +434,15 @@ def jl_bracket_check(E: float, v: Potential, alpha: float, theta: float,
     """Evaluate the JL bracket at the scale where
     ||u^beta||_L ||u^{beta+pi/2}||_L = 1/(2 eps), L = 2k.
 
-    The scale equation is solved for eps by monotone bisection (the left
-    side is fixed, the right side varies).  The kkl variant evaluates
+    The scale equation is linear in eps, so eps = 1 / (2 ||u^beta||_L
+    ||u^{beta+pi/2}||_L) directly.  The kkl variant evaluates
     psi(m+)/(eps ||P_(k)||) at the scale det P_(k) = 1/eps^2.  Both m+
     values are lanes of one walk (``weyl.m_plus_lanes``).
     """
     L = 2 * k
     s1, s2 = _beta_norms(np.array([beta]), E, v, alpha, theta, L)
-    prod_sq = float((s1 * s2)[0])
-    X = math.sqrt(prod_sq)  # ||u^b||_L * ||u^{b+pi/2}||_L
-    lo, hi = 0.25 / X, 1.0 / X
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 2.0 * mid * X - 1.0 > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    eps = 0.5 * (lo + hi)
+    X = math.sqrt(float((s1 * s2)[0]))  # ||u^b||_L * ||u^{b+pi/2}||_L
+    eps = 0.5 / X
     scale_residual = abs(2.0 * eps * X - 1.0)
 
     pm = p_matrix(E, v, alpha, theta, k)

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import RESCALE_EVERY, Potential, block_totals, orbit
+from .cocycle import RESCALE_EVERY, Potential, block_totals, normalize_stack, orbit
 
 DEPTH_CAP_DEFAULT = 10**7
 _ROW = 1 << 12  # lane x sub-block values per scan step: one 64 KB buffer of step values
@@ -115,14 +115,6 @@ def M_function(m_plus_val: complex, m_minus_val: complex) -> complex:
     return out
 
 
-def _normalized(x):
-    """Scale each matrix of the (2, 2, ...) stack x, in place, by the power
-    of two that brings its max-abs entry into [0.5, 1): exact, and
-    invisible to the Moebius action.  Returns x."""
-    x *= np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=(0, 1)))[1])
-    return x
-
-
 def _mul(left, right):
     """Products left @ right of (2, 2, ...) stacks of matrices."""
     return left[:, :1] * right[:1] + left[:, 1:] * right[1:]
@@ -146,7 +138,9 @@ def _fold(x):
         level = _mul(x[..., 1:n:2], x[..., 0:n:2])
         if n < x.shape[-1]:  # the unpaired last matrix moves up unchanged
             level = np.concatenate((level, x[..., n:]), axis=-1)
-        x = _normalized(level) if len(firsts) % 4 == 0 or level.shape[-1] == 1 else level
+        if len(firsts) % 4 == 0 or level.shape[-1] == 1:
+            normalize_stack(level)
+        x = level
         firsts.append(x[..., 0].copy())
     return firsts
 
@@ -197,7 +191,9 @@ def _block_products(zs, site_values, lo: int, hi: int):
         rows = (np.subtract(zcol, col, out=buf)
                 for col in np.ascontiguousarray(vals.reshape(count, steps).T))
         a, b, c, d, _ = block_totals(rows, buf.shape, complex, every)
-        return _normalized(np.array([[a, b], [c, d]]))
+        x = np.array([[a, b], [c, d]])
+        normalize_stack(x)
+        return x
 
     firsts, roots = [], []
     for i0 in range(0, items, chunk):
@@ -255,7 +251,8 @@ def _halfline_m(zs, site_values, tol, depth_cap):
                 xs = np.stack(nodes[-len(depths):], axis=2)
             else:
                 depths = np.array([depth])
-                xs = _normalized(_mul(nodes[-1], x))[:, :, None]
+                xs = _mul(nodes[-1], x)[:, :, None]
+                normalize_stack(xs)
             (a, b), (c, d) = xs
             m1 = (d * 1j + b) / (c * 1j + a)
             est = np.abs(m1 - (d * 2j + b) / (c * 2j + a))
@@ -324,15 +321,9 @@ def m_minus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     Computed as m_plus of the reflected potential x -> v(theta - n alpha);
     equals -u_{-1}/u_0 for the l2(-oo) solution u of H u = z u.
     """
-    m, est, depth = _m_minus_lanes([z], v, alpha, theta, tol, depth_cap)
+    m, est, depth = m_plus_lanes([z], v, -alpha, theta, tol, depth_cap)
     m, est, depth = complex(m[0]), float(est[0]), int(depth[0])
     return (m, est, depth) if full_output else m
-
-
-def _m_minus_lanes(zs, v: Potential, alpha: float, theta: float, tol: float,
-                   depth_cap: int):
-    """``m_minus`` at every z in ``zs`` along one walk of the reflected sites."""
-    return _halfline_m(zs, lambda lo, hi: v(orbit(theta, -alpha, lo, hi)), tol, depth_cap)
 
 
 @dataclass(frozen=True)
@@ -368,7 +359,7 @@ def _m_triples(zs, v: Potential, alpha: float, theta: float, tol: float,
     """``m_triple`` at every z in ``zs`` from one m+ walk and one m- walk
     for all of them; each triple equals its own ``m_triple`` bit for bit."""
     mp, ep, dp = m_plus_lanes(zs, v, alpha, theta, tol, depth_cap)
-    ml, em, dm = _m_minus_lanes(zs, v, alpha, theta, tol, depth_cap)
+    ml, em, dm = m_plus_lanes(zs, v, -alpha, theta, tol, depth_cap)  # m_minus
     v0 = complex(v(theta))
     out = []
     for i, z in enumerate(zs):

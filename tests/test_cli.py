@@ -297,6 +297,26 @@ class TestExitCodes:
         assert "invalid configuration" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["ids", "--e-min", "-1", "--e-max", "1", "--e-points", "5", "--size", "200"],
+        ["lyapunov", "--e-min", "-1", "--n", "100"],
+        ["thouless", "--e-max", "1", "--n", "100", "--size", "200"],
+        ["gaps", "--e-min", "-1", "--e-max", "1", "--size", "200"],
+    ], ids=["ids", "lyapunov", "thouless", "gaps"])
+    def test_energy_with_a_grid_flag_is_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "e.csv"
+        assert main(argv + ["--e", "0.3", "--out", str(out)]) == 2
+        assert "--e excludes --e-min/--e-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phases_with_finite_box_is_2(self, tmp_path, capsys):
+        out = tmp_path / "i.csv"
+        rc = main(["ids", "--e-min", "-1", "--e-max", "1", "--e-points", "3", "--size", "200",
+                   "--phases", "7", "--out", str(out)])
+        assert rc == 2
+        assert "--phases" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_mfunction_points_below_one_is_2(self, tmp_path, capsys, points):
         out = tmp_path / "m.csv"

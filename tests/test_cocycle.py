@@ -7,13 +7,16 @@ from quasispec.arithmetic import resolve_alpha
 from quasispec.cocycle import (
     GrowthProfile,
     Potential,
+    adjugate,
     growth_profile,
     iterate,
     lyapunov,
+    normalize_stack,
     orbit,
     solution,
     step_matrix,
 )
+from quasispec.conjugation import BandFunction
 
 ALPHA = resolve_alpha("golden", 40).alpha
 FREE = Potential.zero()
@@ -32,6 +35,22 @@ class TestPotential:
         vals = v(xs)
         assert np.isrealobj(vals)
 
+    def test_trig_real_axis_is_the_mode_sum(self):
+        v = Potential.trig({0: 2.0, 1: 0.3 + 0.1j, -1: 0.3 - 0.1j, 3: -0.2j, -3: 0.2j})
+        xs = np.random.default_rng(7).uniform(0, 1, 64)
+        vals = v(xs)
+        assert np.max(np.abs(vals - v(xs + 0j).real)) < 1e-14
+        assert np.max(np.abs(vals - BandFunction(v.coeffs, 0.0)(xs))) < 1e-14
+        assert abs(v(0.3) - BandFunction(v.coeffs, 0.0)(0.3)) < 1e-14
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 0.37])
+    def test_amo_is_the_cosine_bit_for_bit(self, lam):
+        v = Potential.amo(lam)
+        xs = orbit(0.123, ALPHA, 0, 5000)
+        assert np.array_equal(v(xs), 2 * lam * np.cos(2 * np.pi * xs))
+        for x in (0.0, 0.1, 0.25, 0.37, float(xs[17])):
+            assert v(x) == 2 * lam * np.cos(2 * np.pi * x)
+
     def test_trig_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
             Potential.trig({1: 1.0, -1: 0.5})
@@ -46,6 +65,23 @@ class TestPotential:
             w = Potential.from_json(v.to_json())
             xs = RNG.uniform(0, 1, 8)
             assert np.allclose(v(xs), w(xs))
+
+
+class TestStackToolkit:
+    def test_adjugate_inverts_det_one(self):
+        m = np.random.default_rng(8).normal(size=(8, 2, 2))
+        m[:, 1, 1] = (1.0 + m[:, 0, 1] * m[:, 1, 0]) / m[:, 0, 0]  # det 1
+        assert np.allclose(adjugate(m) @ m, np.eye(2), atol=1e-12)
+        assert np.array_equal(adjugate(adjugate(m)), m)
+
+    def test_normalizer_is_an_exact_power_of_two(self):
+        scales = np.array([1e-30, 1.0, 3.0, 1e40, 2.0**-3])
+        x = np.random.default_rng(9).normal(size=(2, 2, 5)) * scales
+        y = x.copy()
+        k = normalize_stack(y)
+        top = np.abs(y).max(axis=(0, 1))
+        assert np.all((0.5 <= top) & (top < 1.0))
+        assert np.array_equal(np.ldexp(y, k), x)
 
 
 class TestStepMatrix:
