@@ -9,7 +9,8 @@ eigenvalue counting on the symmetric tridiagonal truncation, O(size)
 work per energy, run as a blocked scan over sites x energies: the pivot
 maps of ~sqrt(size) blocks are folded into each block's starting pivot,
 then the pivot recurrence runs inside all blocks at once
-(``sturm_counts``).  Counting pivots is the discrete form of the
+(``sturm_counts``); energies outside the Gershgorin interval of the box
+are counted without a scan.  Counting pivots is the discrete form of the
 rotation-number view of the IDS.
 """
 
@@ -23,29 +24,42 @@ import numpy as np
 from .cocycle import Potential, block_count, block_starts, block_totals, orbit
 from .weyl import DEPTH_CAP_DEFAULT, _m_triples, m_triple
 
-_TINY = 1e-300  # a zero pivot is replaced by -_TINY
-
 
 def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues < E of tridiag(diag, offdiag=1), per E.
+    """Number of eigenvalues <= E of tridiag(diag, offdiag=1), per E.
 
     Standard LDL^T pivot-sign count: d_j = (a_j - E) - 1/d_{j-1} from
-    d_{-1} = inf, and the count is the number of negative pivots; pivots
-    that vanish are nudged to -tiny, the usual convention for eigenvalues
-    exactly at E.
+    d_{-1} = inf, and the count is the number of pivots d_j <= 0.  A zero
+    pivot counts as negative, which is the count of eigenvalues < E of
+    the box with that diagonal entry lowered by a tiny amount: so an
+    eigenvalue exactly at E is counted, ``sturm_counts([0.0], [0.0])`` is
+    1 and the free 3-box (eigenvalues -sqrt 2, 0, sqrt 2) gives 2 at
+    E = 0.  Away from the eigenvalues it is the number below E.
+
+    Gershgorin trim: where fl(min a - E) >= 2, every pivot is >= 1 in
+    floating point too (rounding is monotone, and 1/d_{j-1} <= 1), so the
+    count is 0 with no scan; where fl(max a - E) <= -2, every pivot is
+    <= -1 and the count is N.  Only the other energies are scanned, on
+    the blocks the whole grid would get, so each of them runs the same
+    arithmetic whatever the rest of the grid holds.  A NaN in the
+    diagonal makes both tests false, and nothing is trimmed.
 
     The N sites run as a two-level blocked scan over
     B = min(isqrt(N), 2**12 // len(E)) blocks of S = ceil(N / B) sites
-    (``cocycle.block_count``), so no Python loop is longer than about
-    sqrt(N) and one step of every block touches at most 2**12 values:
+    (``cocycle.block_count``, len(E) the size of the whole grid), so no
+    Python loop is longer than about sqrt(N) and one step of every block
+    touches at most 2**12 values:
 
     1. the pivot map of each block is a Moebius map, the product of its
        companion steps [[a_j - E, -1], [1, 0]] (``cocycle.block_totals``);
     2. their fold over the blocks (``cocycle.block_starts``) gives each
        block's starting pivot, a / c of its starting product, the first
        block starting at inf;
-    3. the pivot recurrence above, with its zero rule, runs inside all
-       blocks at once from those starts and counts the negative pivots.
+    3. the recurrence runs inside all blocks at once from those starts,
+       on the negated pivots g_j = -d_j = -1/g_{j-1} - (a_j - E), and
+       counts the sites with g_j >= 0.  A zero pivot comes out as g = +0
+       and counts; its reciprocal -inf gives the next two sites the signs
+       that nudging it to -tiny would, so zero pivots take no extra pass.
 
     When B = 1 (more than 2**11 energies, as in the IDS tables), passes
     1-2 are empty and pass 3 is the plain site loop.
@@ -59,49 +73,51 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     loop's only when E lies within rounding of an eigenvalue of the whole
     box, where the count is decided by rounding either way.
     """
-    E = np.asarray(E_grid, dtype=float)
-    shape = E.shape
-    E = E.ravel()
+    shape = np.shape(E_grid)
+    E = np.asarray(E_grid, dtype=float).ravel()
     a = np.asarray(diag, dtype=float).ravel()
     N = len(a)
     B = block_count(N, E.size)
     S = -(-N // B)  # block i holds sites i S .. i S + S - 1; the last may be short
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = _starting_pivots(a[:(B - 1) * S].reshape(B - 1, S), E)
+        full = a.max(initial=-np.inf) - E <= -2.0
+        scan = ~(full | (a.min(initial=np.inf) - E >= 2.0))
+        count = np.where(full, N, 0)
+        E = E[scan]
+        g = _starting_pivots(a[:(B - 1) * S].reshape(B - 1, S), E)
         # the last site of each block is counted by the sign of the next
         # block's start, so the sign at a boundary and the pivots after it
         # come from one value (see the exactness note above)
-        count = np.count_nonzero(d[1:] < 0.0, axis=0)
-        # 3. pivots and counts inside the blocks; the counts run in uint8,
-        # added into the int64 total every 255 sites
-        run = np.zeros(d.shape, dtype=np.uint8)
-        ae = np.empty_like(d)
-        mask = np.empty(d.shape, dtype=bool)
+        inner = np.count_nonzero(g[1:] > 0.0, axis=0)
+        # 3. negated pivots and counts inside the blocks, the last block
+        # padded with diagonal +inf (g = -inf or NaN: never counted); the
+        # counts run in uint8, added into the int64 total every 255 sites
+        a = np.concatenate([a, np.full(B * S - N, np.inf)])
+        run = np.zeros(g.shape, dtype=np.uint8)
+        ae = np.empty_like(g)
+        mask = np.empty(g.shape, dtype=bool)
         for t in range(S):
-            col = a[t::S]  # site t of every block
-            np.subtract(col[:, None], E, out=ae[:len(col)])
-            ae[len(col):] = np.inf  # past the end of the last block: never counted
-            np.divide(1.0, d, out=d)
-            np.subtract(ae, d, out=d)
-            np.equal(d, 0.0, out=mask)
-            if mask.any():
-                np.copyto(d, -_TINY, where=mask)
-            np.less(d, 0.0, out=mask)
+            np.subtract(a[t::S, None], E, out=ae)  # site t of every block
+            np.divide(-1.0, g, out=g)
+            np.subtract(g, ae, out=g)
+            np.greater_equal(g, 0.0, out=mask)
             np.add(run, mask.view(np.uint8), out=run)
             if t % 255 == 254:
-                count += run.sum(axis=0, dtype=np.int64)
+                inner += run.sum(axis=0, dtype=np.int64)
                 run.fill(0)
-        count += run.sum(axis=0, dtype=np.int64)
-        count -= np.count_nonzero(d[:B - 1] < 0.0, axis=0)
+        inner += run.sum(axis=0, dtype=np.int64)
+        count[scan] = inner - np.count_nonzero(g[:B - 1] >= 0.0, axis=0)
     return count.reshape(shape)
 
 
 def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Passes 1-2 of ``sturm_counts`` from the diagonal of blocks
-    0 .. B-2 (shape (B - 1, S)): the pivot entering each of the B blocks,
-    that of the previous block's last site, shape (B, len(E))."""
+    0 .. B-2 (shape (B - 1, S)): the negated pivot -d entering each of
+    the B blocks, that of the previous block's last site, shape
+    (B, len(E)).  A zero pivot is nudged to -tiny here (g = +tiny), and
+    the pivot after it, a / c = +-inf, is +inf (g = -inf)."""
     if not len(full):
-        return np.full((1, E.size), np.inf)
+        return np.full((1, E.size), -np.inf)
     # 1. Moebius maps of blocks 0 .. B-2
     e = np.empty((len(full), E.size))
 
@@ -113,10 +129,10 @@ def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
     # 2. fold: the pivot is a / c of the block's starting product (inf, 1/0,
     # for block 0); the power-of-two scaling of the starts leaves it exact
     a, _, c, _, _ = block_starts(*block_totals(rows(), e.shape))
-    d = a / c
-    d[d == 0.0] = -_TINY
-    d[d == -np.inf] = np.inf  # follows a zero pivot, which counts as -tiny
-    return d
+    g = -a / c
+    g[g == 0.0] = 1e-300  # d = 0 is nudged to -tiny
+    g[g == np.inf] = -np.inf
+    return g
 
 
 @dataclass(frozen=True)
@@ -177,7 +193,10 @@ def ids(v: Potential, alpha: float, E_grid, method: str = "finite_box",
 def in_spectrum(v: Potential, alpha: float, E: float, delta: float,
                 size: int = 20000, theta: float = 0.0) -> bool:
     """Spectrum membership proxy: the finite-box IDS must increase by
-    more than the possible boundary-state count across [E-delta, E+delta]."""
+    more than the possible boundary-state count across [E-delta, E+delta].
+    ``delta`` must be positive and finite (ValueError)."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     diag = np.asarray(v(orbit(theta, alpha, 0, size)), dtype=float)
     counts = sturm_counts(diag, np.array([E - delta, E + delta]))
     return int(counts[1] - counts[0]) > 2
@@ -356,22 +375,24 @@ def refine_gap_edge(v: Potential, alpha: float, gap: GapRecord, side: str,
     plateau by more than the possible boundary-state count is narrowed
     by ``stages`` vectorised Sturm scans around the coarse edge.
     ``side`` is 'left' for the lower edge or 'right' for the upper.
+    ``pts`` below 2, or a ``half_width`` (given, or half the gap) that is
+    not positive and finite, raises ValueError.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    half_width = 0.5 * (gap.e_right - gap.e_left) if half_width is None else half_width
+    if pts < 2 or not 0.0 < half_width < math.inf:
+        raise ValueError(f"need pts >= 2 and a positive, finite half_width, got {pts}, {half_width}")
     diag = np.asarray(v(orbit(theta, alpha, 0, size)), dtype=float)
     mid_gap = 0.5 * (gap.e_left + gap.e_right)
     level = float(sturm_counts(diag, np.array([mid_gap]))[0]) / size
     target = level - 3.0 / size if side == "left" else level + 3.0 / size
     edge = gap.e_left if side == "left" else gap.e_right
-    if half_width is None:
-        half_width = 0.5 * (gap.e_right - gap.e_left)
     lo, hi = edge - half_width, edge + half_width
     for _ in range(stages):
         grid = np.linspace(lo, hi, pts)
         N = sturm_counts(diag, grid) / size
-        above = N >= target  # monotone: False ... True
-        idx = int(np.searchsorted(above, True))
+        idx = int(np.searchsorted(N >= target, True))  # N is monotone: False ... True
         idx = min(max(idx, 1), pts - 1)
         lo, hi = grid[idx - 1], grid[idx]
     return float(0.5 * (lo + hi))

@@ -10,8 +10,10 @@ backward Moebius recursion
 
 run from an adaptively chosen depth N with two seeds (i and 2i); the
 recursion contracts the hyperbolic metric of the half-plane for
-Im z > 0, so seed agreement within tol certifies the value without any
-Weyl-disk bookkeeping.  The depth scales like O((1/Im z) ln(1/tol)).
+Im z > 0, and the walk stops when the two seeds agree within tol (a
+Euclidean check, with no Weyl-disk bookkeeping).  That seed residual is
+a stopping rule, not an error bound: the value can be several times tol
+away from the limit.  The depth scales like O((1/Im z) ln(1/tol)).
 
 The site phases theta + n alpha come from ``cocycle.orbit``, reduced
 mod 1.  The N steps are the Moebius action of the product of the step
@@ -297,7 +299,10 @@ def m_plus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     z : complex with Im z > 0
     v, alpha, theta : potential, frequency and phase; site n carries
         potential v(theta + n alpha), n >= 1.
-    tol : seed-independence tolerance (certifies est_error <= tol).
+    tol : seed tolerance: the walk stops at the first depth where the
+        values from seeds i and 2i agree within tol.  est_error is that
+        seed residual, so est_error <= tol, but it does not bound the
+        error of m: at tol 1e-7, m can be off by several times tol.
     depth_cap : recursion depth cap; exceeded depth raises NoConvergence.
     full_output : also return (est_error, depth).
     """

@@ -99,6 +99,83 @@ class TestSturm:
         assert np.array_equal(sturm_counts(np.array([]), np.array([0.0, 1.0])), [0, 0])
         assert sturm_counts(diag, np.array([3.5]))[0] == 500
 
+    def test_count_convention(self):
+        # a zero pivot counts as negative, so an eigenvalue exactly at E is counted
+        assert sturm_counts(np.array([0.0]), np.array([0.0]))[0] == 1
+        assert sturm_counts(np.zeros(3), np.array([0.0]))[0] == 2  # eigenvalues -sqrt 2, 0, sqrt 2
+        assert sturm_counts_sequential(np.zeros(3), np.array([0.0]))[0] == 2
+
+    @staticmethod
+    def _with_width(E, B_one):
+        # more than 2**11 energies give B = 1 blocks, a handful give B = isqrt(N)
+        return np.concatenate([E, np.linspace(-3.0, 3.0, 2100)]) if B_one else E
+
+    @pytest.mark.parametrize("B_one", [False, True], ids=["B>1", "B=1"])
+    def test_gershgorin_trim_boundaries(self, B_one):
+        # energies where fl(min a - E) or fl(max a - E) is exactly +-2, and
+        # their float neighbours on either side
+        diag = orbit_diag(AMO, 3000, 0.37)
+        lo, hi = diag.min(), diag.max()
+        near = []
+        for edge, gap in ((lo, 2.0), (hi, -2.0)):
+            E0 = edge - gap
+            near += [E0]
+            for k in range(1, 4):
+                near += [E0 + k * np.spacing(E0), E0 - k * np.spacing(E0)]
+        near = np.array(near)
+        assert np.any(lo - near == 2.0) and np.any(hi - near == -2.0)
+        assert np.any(lo - near < 2.0) and np.any(hi - near > -2.0)
+        E = self._with_width(near, B_one)
+        got = sturm_counts(diag, E)
+        assert np.array_equal(got, sturm_counts_sequential(diag, E))
+        assert np.all(got[:len(near)][lo - near >= 2.0] == 0)
+        assert np.all(got[:len(near)][hi - near <= -2.0] == 3000)
+
+    @pytest.mark.parametrize("B_one", [False, True], ids=["B>1", "B=1"])
+    def test_infinite_energies(self, B_one):
+        diag = orbit_diag(AMO, 1000, 0.2)
+        E = self._with_width(np.array([-np.inf, np.inf, 0.0]), B_one)
+        got = sturm_counts(diag, E)
+        assert np.array_equal(got, sturm_counts_sequential(diag, E))
+        assert list(got[:2]) == [0, 1000]
+
+    def test_empty_diagonal(self):
+        E = np.array([-np.inf, -3.0, 0.0, 3.0, np.inf, np.nan])
+        assert np.array_equal(sturm_counts(np.array([]), E), np.zeros(6, dtype=int))
+
+    @pytest.mark.parametrize("B_one", [False, True], ids=["B>1", "B=1"])
+    def test_nan_diagonal_is_not_trimmed(self, B_one):
+        # the site loop never counts a NaN pivot, nor any pivot after it,
+        # so a trim to N far above the spectrum would be wrong
+        diag = orbit_diag(AMO, 1000, 0.2)
+        diag[600] = np.nan
+        E = self._with_width(np.array([-10.0, -3.0, 0.0, 3.0, 10.0]), B_one)
+        got = sturm_counts(diag, E)
+        assert np.array_equal(got[:5], sturm_counts_sequential(diag, E)[:5])
+        assert got[4] == 600
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_diagonal_entry(self, bad):
+        # an infinite entry leaves one Gershgorin side finite: that side is
+        # trimmed exactly, and the other is scanned
+        diag = orbit_diag(AMO, 1000, 0.2)
+        diag[600] = bad
+        E = self._with_width(np.array([-np.inf, -10.0, -3.0, 0.0, 3.0, 10.0, np.inf]), True)
+        assert np.array_equal(sturm_counts(diag, E), sturm_counts_sequential(diag, E))
+        trimmed = np.array([-10.0]) if bad == np.inf else np.array([10.0])
+        assert sturm_counts(diag, trimmed)[0] == (0 if bad == np.inf else 1000)
+
+    @pytest.mark.parametrize("v, size, grid, theta", [
+        (FREE, 5000, np.linspace(-4.5, 4.5, 7001), 0.3),
+        (Potential.amo(2.0), 5000, np.linspace(-8.0, 8.0, 7001), 0.3),
+        (AMO, 4000, np.linspace(-3.2, 3.2, 6401), 0.0),
+    ], ids=["free-5000x7001", "amo2-5000x7001", "amo0.5-4000x6401"])
+    def test_benchmark_tables_equal_sequential(self, v, size, grid, theta):
+        # the IDS tables of the gap search and the Thouless checks, where
+        # 6% to 56% of the energies lie outside Gershgorin
+        diag = orbit_diag(v, size, theta)
+        assert np.array_equal(sturm_counts(diag, grid), sturm_counts_sequential(diag, grid))
+
 
 class TestIds:
     def test_free_values(self):
@@ -251,6 +328,31 @@ class TestGaps:
         step = tab.grid_step
         eR = refine_gap_edge(AMO, ALPHA, g, "right", half_width=3 * step, size=50000)
         assert abs(eR - g.e_right) <= 3 * step
+
+
+class TestArgumentChecks:
+    GAP = GapRecord(e_left=0.336, e_right=1.297, n_plateau=0.618125)
+
+    @pytest.mark.parametrize("pts", [1, 0, -3])
+    def test_refine_rejects_pts_below_two(self, pts):
+        with pytest.raises(ValueError, match="need pts >= 2"):
+            refine_gap_edge(AMO, ALPHA, self.GAP, "right", half_width=5e-3, size=20000, pts=pts)
+
+    @pytest.mark.parametrize("half_width", [-5e-3, 0.0, math.nan, math.inf])
+    def test_refine_rejects_bad_half_width(self, half_width):
+        with pytest.raises(ValueError, match="positive, finite half_width"):
+            refine_gap_edge(AMO, ALPHA, self.GAP, "right", half_width=half_width, size=20000)
+
+    def test_refine_rejects_an_empty_gap(self):
+        # the default half_width is half the gap
+        gap = GapRecord(e_left=0.5, e_right=0.5, n_plateau=0.5)
+        with pytest.raises(ValueError, match="got 64, 0.0"):
+            refine_gap_edge(AMO, ALPHA, gap, "left", size=20000)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-2, math.nan, math.inf])
+    def test_in_spectrum_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            in_spectrum(AMO, ALPHA, 0.0, delta)
 
 
 class TestSpectrumMask:
