@@ -3,12 +3,13 @@ outputs and run manifests.
 
 Every subcommand is one entry of ``COMMANDS``: its row generator, its
 columns, its own flags and the shared inputs it reads.  ``build_parser``
-gives a subcommand only the flags it reads, and ``run`` is the one
-writer: with --out it writes the data file plus <out>.manifest.json
-echoing all resolved parameters, the tool version and the precision
-mode.  Data files are byte-identical across repeated runs with the same
-config on one platform (fixed reduction orders, no wall clock in data);
-manifest timestamps are excluded from that contract.
+gives the subcommand being run only the flags it reads (and the others
+none), and ``run`` is the one writer: with --out it writes the data file
+plus <out>.manifest.json echoing all resolved parameters, the tool
+version and the precision mode.  Data files are byte-identical across
+repeated runs with the same config on one platform (fixed reduction
+orders, no wall clock in data); manifest timestamps are excluded from
+that contract.
 
 Exit codes: 0 success, 2 validation error (nothing written), 3 numerical
 non-convergence (the rows completed before the failure, at least the
@@ -399,7 +400,11 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with flags for ``command`` only (for
+    none if it names no subcommand): a run builds no flag it cannot read,
+    and the other subcommands, registered bare, still show in the
+    top-level help and usage errors."""
     ap = argparse.ArgumentParser(
         prog="quasispec",
         description="spectral diagnostics of one-frequency quasiperiodic Schrodinger operators")
@@ -411,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cmd.plot:
             flags += (_arg("--gnuplot-stub", action="store_true",
                            help="emit a ready-to-run gnuplot script next to the data file"),)
-        for names, kwargs in flags:
+        for names, kwargs in flags if name == command else ():
             p.add_argument(*names, **kwargs)
     return ap
 
@@ -444,7 +449,10 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    return run(build_parser().parse_args(argv))
+    # the top-level parser takes no flag but -h, so the first word that
+    # names a subcommand is the one argparse runs
+    command = next((w for w in (sys.argv[1:] if argv is None else argv) if w in COMMANDS), "")
+    return run(build_parser(command).parse_args(argv))
 
 
 if __name__ == "__main__":

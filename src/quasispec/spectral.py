@@ -61,8 +61,9 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
        and counts; its reciprocal -inf gives the next two sites the signs
        that nudging it to -tiny would, so zero pivots take no extra pass.
 
-    When B = 1 (more than 2**11 energies, as in the IDS tables), passes
-    1-2 are empty and pass 3 is the plain site loop.
+    When B = 1 (more than 2**11 energies, as in the IDS tables, or a
+    diagonal with an infinite entry), passes 1-2 are empty and pass 3 is
+    the plain site loop.
 
     Exactness: a block's starting pivot is the pivot d_j of the previous
     block's last site j, computed by the fold instead of the site loop.
@@ -77,11 +78,14 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     E = np.asarray(E_grid, dtype=float).ravel()
     a = np.asarray(diag, dtype=float).ravel()
     N = len(a)
-    B = block_count(N, E.size)
+    lo, hi = a.min(initial=np.inf), a.max(initial=-np.inf)
+    # an infinite entry turns the block totals of passes 1-2 into inf - inf
+    # = NaN, so such a diagonal runs as the plain site loop
+    B = 1 if np.isinf(lo) or np.isinf(hi) else block_count(N, E.size)
     S = -(-N // B)  # block i holds sites i S .. i S + S - 1; the last may be short
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        full = a.max(initial=-np.inf) - E <= -2.0
-        scan = ~(full | (a.min(initial=np.inf) - E >= 2.0))
+        full = hi - E <= -2.0
+        scan = ~(full | (lo - E >= 2.0))
         count = np.where(full, N, 0)
         E = E[scan]
         g = _starting_pivots(a[:(B - 1) * S].reshape(B - 1, S), E)

@@ -285,10 +285,30 @@ def _beta_norms(betas: np.ndarray, E, v, alpha, x, L) -> tuple[np.ndarray, np.nd
     return s1, s2
 
 
+def _solution_pair(E: float, v: Potential, alpha: float, x: float, L: int) -> np.ndarray:
+    """u_1 .. u_L of the solutions p and q with (u_0, u_1) = (0, 1) and
+    (-1, 0), as the rows of a (2, L) array: one pass of the recurrence
+    u_{j+1} = (E - v(x + j alpha)) u_j - u_{j-1} over sites sampled once."""
+    u = [(0.0, -1.0), (1.0, 0.0)]  # (p_j, q_j) at j = 0, 1
+    for e in (E - v(orbit(x, alpha, 1, L))).tolist():  # sites 1 .. L-1
+        (p0, q0), (p1, q1) = u[-2:]
+        u.append((e * p1 - p0, e * q1 - q0))
+    return np.array(u[1:]).T
+
+
+def _pair_products(betas: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """||u^beta||^2 * ||u^{beta+pi/2}||^2 over a batch of betas, from the
+    solution pair pq = (p, q) of ``_solution_pair``: u^beta = cos(beta) p
+    + sin(beta) q and u^{beta+pi/2} = cos(beta) q - sin(beta) p, and each
+    norm is a sum of squares of those combined values."""
+    c, s = np.cos(betas), np.sin(betas)
+    u = np.array([[c, s], [-s, c]]).transpose(0, 2, 1) @ pq  # (2, len(betas), L)
+    return np.prod(np.einsum("...j,...j->...", u, u), axis=0)
+
+
 def _beta_products(betas: np.ndarray, E, v, alpha, x, L) -> np.ndarray:
     """||u^beta||_L^2 * ||u^{beta+pi/2}||_L^2 over a batch of betas."""
-    s1, s2 = _beta_norms(betas, E, v, alpha, x, L)
-    return s1 * s2
+    return _pair_products(betas, _solution_pair(E, v, alpha, x, L))
 
 
 def det_via_beta_scan(E: float, v: Potential, alpha: float, x: float, k: int,
@@ -300,6 +320,15 @@ def det_via_beta_scan(E: float, v: Potential, alpha: float, x: float, k: int,
     1e-10 in beta.  The infimum is attained at critical points of
     beta -> ||u^beta||^2.
 
+    The L = 2k sites are walked once per call: the recurrence runs for
+    one solution pair p, q (``_solution_pair``), and by linearity every
+    u^beta is cos(beta) p + sin(beta) q.  Each product is then a sum of
+    squares of those combined values over the sites, the grid as one
+    (grid, L) evaluation and each golden-section step as one over L
+    sites.  The quadratic form (cos, sin) G (cos, sin)^T of the Gram
+    matrix G of p, q is never formed: that cancellation is what broke
+    the QR determinant past cond(P) ~ 1e12.
+
     The comparison is meaningful while cond(P_(k)) stays below ~1e12:
     past that the product minimum is narrower in beta than double
     precision resolves (width ~ sqrt(det)/||P||), which happens at
@@ -307,15 +336,17 @@ def det_via_beta_scan(E: float, v: Potential, alpha: float, x: float, k: int,
     """
     if grid < 8:
         raise ValueError("grid must be >= 8")
-    L = 2 * k
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pq = _solution_pair(E, v, alpha, x, 2 * k)
     betas = np.pi * np.arange(grid) / grid
-    vals = _beta_products(betas, E, v, alpha, x, L)
+    vals = _pair_products(betas, pq)
     i = int(np.argmin(vals))
     h = np.pi / grid
     lo, hi = betas[i] - h, betas[i] + h
 
     def f(b):
-        return float(_beta_products(np.array([b]), E, v, alpha, x, L)[0])
+        return float(_pair_products(np.array([b]), pq)[0])
 
     invphi = (math.sqrt(5) - 1) / 2
     a_, b_ = lo, hi

@@ -165,6 +165,15 @@ class TestSturm:
         trimmed = np.array([-10.0]) if bad == np.inf else np.array([10.0])
         assert sturm_counts(diag, trimmed)[0] == (0 if bad == np.inf else 1000)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_diagonal_entry_few_energies(self, bad):
+        # a handful of energies would split the box into isqrt(N) blocks,
+        # whose totals an infinite entry turns into NaN
+        diag = np.random.default_rng(0).uniform(-1.0, 1.0, 1000)
+        diag[500] = bad
+        E = np.array([-0.5, 0.1, 0.7])
+        assert np.array_equal(sturm_counts(diag, E), sturm_counts_sequential(diag, E))
+
     @pytest.mark.parametrize("v, size, grid, theta", [
         (FREE, 5000, np.linspace(-4.5, 4.5, 7001), 0.3),
         (Potential.amo(2.0), 5000, np.linspace(-8.0, 8.0, 7001), 0.3),

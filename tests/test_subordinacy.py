@@ -186,6 +186,37 @@ class TestDetBetaScan:
         with pytest.raises(ValueError):
             det_via_beta_scan(0.0, AMO, ALPHA, 0.0, 5, grid=4)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            det_via_beta_scan(0.3, AMO, ALPHA, 0.2, k)
+
+    @pytest.mark.parametrize("E, x, k", [
+        (1.1, 0.4, 1), (2.096, 0.068, 20), (-2.5, 0.842, 5), (0.496, 0.661, 20),
+        (-0.232, 0.628, 50)])
+    def test_pair_products_are_the_step_recurrence(self, E, x, k):
+        # every u^beta from one solution pair, against its own recurrence
+        # from the boundary pair (-sin beta, cos beta), and beta + pi/2
+        pm = p_matrix(E, AMO, ALPHA, x, k)
+        assert pm.norm / pm.smallest_eig < 1e8
+        betas = np.pi * np.arange(64) / 64
+        s, c = np.sin(betas), np.cos(betas)
+        ref = (solution_norm_sq_batch(-s, c, E, AMO, ALPHA, x, 2 * k)
+               * solution_norm_sq_batch(-c, -s, E, AMO, ALPHA, x, 2 * k))
+        got = _beta_products(betas, E, AMO, ALPHA, x, 2 * k)
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
+    def test_matches_mpmath_ladder(self, quantile):
+        n = 2000
+        eigs = eigvalsh_tridiagonal(AMO(ALPHA * np.arange(n) % 1.0), np.ones(n - 1))
+        E = float(eigs[int(quantile * n)])  # in the AMO spectrum up to O(1/n)
+        for x in (0.0, 0.21):
+            for k, (p11, _, p22, log_det) in _mp_ladder(E, AMO, x, [5, 20, 50]).items():
+                det = float(mpmath.exp(log_det))
+                assert float(p11 + p22) ** 2 / det < 1e12  # an upper bound on cond(P)
+                assert det_via_beta_scan(E, AMO, ALPHA, x, k) == pytest.approx(det, rel=1e-9)
+
 
 class TestProfile:
     def test_free_rotation_values(self):
