@@ -271,6 +271,24 @@ class TestProfile:
                     rel = 5e-12 if name == "ratio_blabl" else 1e-12
                     assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel)
 
+    def test_walk_lanes_match_mpmath(self):
+        # the k = 37 lane of the ladder below, and a lane that settles at
+        # depth 8192, against the backward recursion from seed i to the
+        # same depth in 30 digits, on the phases theta + n alpha of the
+        # binary floats theta and alpha
+        theta, lam = 0.21, 0.5
+        eps37 = subordinacy._eps(_p_entries_upto(0.3, AMO, ALPHA, theta, [37])[37][3])
+        zs = [complex(0.3, eps37), complex(0.3, 1e-3)]
+        m, _, depth = weyl.m_plus_lanes(zs, Potential.amo(lam), ALPHA, theta, 1e-8)
+        assert depth.tolist() == [2048, 8192]
+        with mpmath.workdps(30):
+            th, al = mpmath.mpf(theta), mpmath.mpf(ALPHA)
+            for z, got, n_max in zip(zs, m, depth):
+                zz, ref = mpmath.mpc(z), mpmath.mpc(0, 1)
+                for n in range(int(n_max), 0, -1):
+                    ref = -1 / (zz - 2 * lam * mpmath.cos(2 * mpmath.pi * (th + n * al)) + ref)
+                assert abs(got - complex(ref)) <= 1e-11 * abs(complex(ref))
+
     def test_no_floor_is_the_whole_ladder(self):
         # float.hex values of the one-pass ladder over J = 11999 steps; k = 37
         # sits mid-block and k = 6000 is past the first segment of a floor
