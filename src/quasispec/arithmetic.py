@@ -12,6 +12,7 @@ Named presets resolve from closed forms, never from decimal literals:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -172,19 +173,28 @@ def from_terms(terms: Sequence[int], tail: str = "golden") -> Frequency:
         return expand(x, len(terms))
 
 
+@functools.lru_cache(maxsize=32)
+def _preset(name: str, depth: int, dps: int) -> Frequency:
+    """The preset ``name`` expanded to ``depth`` terms in ``dps`` digits,
+    computed once per key: the expansion takes milliseconds, and every CLI
+    call asks for it.  A ``Frequency`` is frozen, so callers may share it."""
+    with mpmath.workdps(dps):
+        return expand(PRESETS[name](), depth)
+
+
 def resolve_alpha(spec, depth: int = 40) -> Frequency:
     """Parse a frequency given as preset name, decimal string, or CF terms.
 
     ``spec`` may be 'golden', 'silver', a decimal string such as
     '0.414213562', a float, or 'cf:2,2,2,...' / a sequence of partial
-    quotients.
+    quotients.  A preset is expanded once per depth and working precision
+    and then shared; the other forms are expanded at every call.
     """
     if isinstance(spec, Frequency):
         return spec
     if isinstance(spec, str):
         if spec in PRESETS:
-            with mpmath.workdps(working_dps(depth)):
-                return expand(PRESETS[spec](), depth)
+            return _preset(spec, depth, working_dps(depth))
         if spec.startswith("cf:"):
             terms = [int(t) for t in spec[3:].split(",") if t]
             return from_terms(terms)

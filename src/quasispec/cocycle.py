@@ -4,9 +4,11 @@ Lyapunov exponents.
 The cocycle over the circle rotation by alpha is (x, w) -> (x + alpha,
 A(x) w) with the companion step A(x) = [[z - v(x), -1], [1, 0]].  Site
 phases x + n alpha come from one sampler, ``orbit``, and are reduced
-mod 1.  Ordered products A_n(x) = A(x+(n-1)alpha) ... A(x) come from one
-kernel, ``block_totals``, which rescales by powers of two every 32 steps
-against overflow; every product-returning routine reports the
+mod 1; ``site_rows`` turns its phases at block starts by t alpha with a
+table, giving the potential row by row without a cosine per site.
+Ordered products A_n(x) = A(x+(n-1)alpha) ... A(x) come from one
+kernel, ``block_totals``, which rescales by powers of two every 32
+steps against overflow; every product-returning routine reports the
 accumulated log scale, so the exact product is exp(log_scale) * matrix.
 Matrices are plain 2x2 ndarrays.
 
@@ -18,6 +20,7 @@ stacks of 2x2 matrices (``adjugate``, ``normalize_stack``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +57,7 @@ class Potential:
     extends to any strip |Im x| <= band.
     """
 
-    __slots__ = ("variant", "lam", "coeffs", "_c0", "_waves")
+    __slots__ = ("variant", "lam", "coeffs", "_c0", "_waves", "_sup")
 
     def __init__(self, variant: str, lam: float = 0.0, coeffs: dict | None = None):
         self.variant = variant
@@ -73,6 +76,7 @@ class Potential:
         # v(x) = c_0 + sum_{k > 0} 2 Re c_k cos(2 pi k x) - 2 Im c_k sin(2 pi k x)
         self._waves = [(2 * np.pi * k, 2 * c.real, 2 * c.imag)
                        for k, c in sorted(coeffs.items()) if k > 0]
+        self._sup = sum(map(abs, coeffs.values()))  # the strip majorant at band 0
 
     @classmethod
     def amo(cls, lam: float) -> "Potential":
@@ -112,6 +116,8 @@ class Potential:
 
     def sup_bound(self, band: float = 0.0) -> float:
         """Coefficient majorant for sup of |v| on the strip |Im x| <= band."""
+        if band == 0.0:  # on the real axis, where every m-function walk asks
+            return self._sup
         return float(strip_majorant(list(self.coeffs), list(self.coeffs.values()), band))
 
     def to_json(self) -> dict:
@@ -131,12 +137,58 @@ class Potential:
         return f"Potential.trig({self.coeffs})"
 
 
-def orbit(theta: float, alpha: float, lo: int, hi: int) -> np.ndarray:
-    """Phases theta + n alpha mod 1 of the sites n = lo .. hi-1: the one
-    sampler of the rotation orbit, so every caller sees the same site
-    phases (reduced mod 1, where the potential is periodic)."""
-    x = theta + alpha * np.arange(lo, hi)
+def orbit(theta: float, alpha: float, lo: int, hi: int, stride: int = 1) -> np.ndarray:
+    """Phases theta + n alpha mod 1 of the sites n = lo, lo + stride, ...
+    below hi: the one sampler of the rotation orbit, so every caller sees
+    the same site phases (reduced mod 1, where the potential is
+    periodic)."""
+    x = theta + alpha * np.arange(lo, hi, stride)
     return x - np.floor(x)  # exactly x % 1.0, at a tenth of its cost
+
+
+def site_rows(v: Potential, theta: float, alpha: float, starts: range, steps: int):
+    """Yield the potential at the sites s + t, s in ``starts``, one row
+    (an array over the starts) per step t = 0 .. steps-1, with no cosine
+    per site: for x_s = ``orbit`` at the starts,
+
+        v(x_s + t alpha) = c_0 + sum_{k>0} Re(W_k(s) R_k(t)),
+
+    with W_k(s) = 2 c_k e^{2 pi i k x_s} formed once per call and the
+    table R_k(t) = e^{2 pi i k alpha t} once per (alpha, modes, steps):
+    one complex multiply per mode and site.  A row is within 1e-14 of v
+    at x_s + t alpha for t < 32 (against 40 digits), so it carries the
+    phase error of its start's float orbit, about n 1e-16 at site n, as
+    a per-site ``orbit`` sample carries its own."""
+    x = orbit(theta, alpha, starts.start, starts.stop, starts.step)
+    c0 = v._c0
+    ks = [k for k in sorted(v.coeffs) if k > 0]
+    if not ks:
+        for _ in range(steps):
+            yield np.full(len(x), c0)
+        return
+    waves = [np.exp(2j * np.pi * k * x) * (2 * v.coeffs[k]) for k in ks]
+    w0, rest = waves[0], waves[1:]
+    for r0, *rs in _turns(alpha, tuple(ks), steps):
+        row = (w0 * r0).real
+        for w, r in zip(rest, rs):
+            row += (w * r).real
+        if c0:
+            row += c0
+        yield row
+
+
+@functools.lru_cache(maxsize=64)
+def _turns(alpha: float, ks: tuple, steps: int) -> tuple:
+    """e^{2 pi i k alpha t} for t = 0 .. steps-1 (rows) and k in ``ks``, as
+    tuples of complex.  The turn t k alpha mod 1 is rounded once: alpha =
+    hi + lo with hi of 26 bits (Veltkamp's split), so t k hi, its
+    fractional part and t k lo are exact while t k < 2**27."""
+    hi = alpha * 134217729.0
+    hi -= hi - alpha
+    tk = np.outer(np.arange(steps), ks)
+    turns = tk * hi
+    turns = turns - np.floor(turns) + tk * (alpha - hi)
+    return tuple(map(tuple, np.exp(2j * np.pi * turns).tolist()))
 
 
 def step_matrix(z, v: Potential, x: float) -> np.ndarray:

@@ -16,11 +16,17 @@ a stopping rule, not an error bound: the value can be several times tol
 away from the limit.  The depth scales like O((1/Im z) ln(1/tol)).
 
 The site phases theta + n alpha come from ``cocycle.orbit``, reduced
-mod 1.  The N steps are the Moebius action of the product of the step
-matrices [[0, -1], [1, z - v_n]], which is [[d, b], [c, a]] for the
-companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n = [[z - v_n,
--1], [1, 0]]: the same 2x2 kernel, ``cocycle.block_totals``, as the
-Sturm counts, the Lyapunov products and ``iterate``.
+mod 1.  Sites 1..1024 are sampled one by one; every site past 1024
+comes from ``cocycle.site_rows``, which turns each sub-block's start
+phase by t alpha with a table of e^{2 pi i k alpha t}: one complex
+multiply per mode and site, and no cosine.  Both samplers carry the
+float orbit's phase error, about n 1e-16 at site n (up to ~1e-9 in v
+near n = 2**21), and a row adds at most 1e-14 to the error of its
+sub-block's start.  The N steps are the Moebius action of the product
+of the step matrices [[0, -1], [1, z - v_n]], which is [[d, b], [c, a]]
+for the companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n =
+[[z - v_n, -1], [1, 0]]: the same 2x2 kernel, ``cocycle.block_totals``,
+as the Sturm counts, the Lyapunov products and ``iterate``.
 
 One walk serves many z ("lanes", ``m_plus_lanes``): ``subordinacy.profile``
 runs every kept eps_k of a ladder in it, and ``_m_triples`` (behind
@@ -32,10 +38,14 @@ Each new block of sites is cut into sub-blocks of 8 to 32 sites,
 sampled once for all live lanes and run as one companion-step scan over
 lanes x sub-blocks, fed one step at a time through a single (lanes,
 sub-blocks) buffer, so no table of all steps is built; the sub-block
-totals are then folded pairwise.  All rescaling is by powers of two,
-which is exact, so a lane's value does not depend on the other lanes or
-on how the block is cut into chunks, and the rescaling interval of the
-scan shrinks where |z - v| is large enough to overflow it.  Since the doubling schedule is itself a balanced tree
+totals are then folded pairwise.  A chunk of the scan is the largest
+power of two of sub-blocks with at most 4096 values per step over all
+lanes, so a one-lane walk scans rows of 4096 sub-blocks.  All rescaling
+is by powers of two, which is exact, so a lane's value does not depend
+on the other lanes or on how the block is cut into chunks, and the
+rescaling interval of the scan, set once per walk from max |z| and the
+coefficient bound on |v|, shrinks where |z - v| is large enough to
+overflow it.  Since the doubling schedule is itself a balanced tree
 over the sites, the first walk goes at once to about the depth the
 deepest lane needs, ln(1/tol) / Im z, up to 1024, and checks the
 depths on the way on the prefix nodes of its fold: a short walk pays per
@@ -63,12 +73,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import RESCALE_EVERY, Potential, block_totals, normalize_stack, orbit
+from .cocycle import (RESCALE_EVERY, Potential, block_totals, normalize_stack, orbit,
+                      site_rows)
 
 DEPTH_CAP_DEFAULT = 10**7
 _ROW = 1 << 12  # lane x sub-block values per scan step: one 64 KB buffer of step values
-_SITES = 1 << 14  # sites sampled at a time
-_FIRST = 1024  # the first walk's reach at most: short walks cost per block
+_FIRST = 1024  # the first walk's reach at most, and the last site sampled one by one
 
 
 class NoConvergence(RuntimeError):
@@ -157,42 +167,59 @@ def _rescale_every(bound: float) -> int:
     return max(1, int(960 / math.log2(bound + 1.0)))
 
 
-def _block_products(zs, site_values, lo: int, hi: int):
+def _step_values(zs, rows, count):
+    """The step values z - v of every lane z in ``zs`` for each row v of
+    ``count`` site values in ``rows``, written in turn into one (lanes,
+    count) buffer.  Im(z - v) = Im z, so only the real parts are written."""
+    buf = np.empty((len(zs), count), dtype=complex)
+    buf.imag = zs.imag[:, None]
+    zre, re = zs.real[:, None], buf.real
+    for row in rows:
+        np.subtract(zre, row, out=re)
+        yield buf
+
+
+def _block_products(zs, v, theta, alpha, every: int, lo: int, hi: int):
     """Companion-orientation products T_{j-1} ... T_lo, T_n = [[z - v_n,
-    -1], [1, 0]], of every lane z in ``zs``, as (2, 2, lanes) stacks, for
-    j = lo + S, lo + 2 S, lo + 4 S, ... and finally j = hi.  Returns the
-    site counts j - lo and the products.
+    -1], [1, 0]], v_n = v(theta + n alpha), of every lane z in ``zs``, as
+    (2, 2, lanes) stacks, for j = lo + S, lo + 2 S, lo + 4 S, ... and
+    finally j = hi.  Returns the site counts j - lo and the products.
 
     The sites are cut into sub-blocks of S sites (the last one may be
     shorter); S is 8 up to 1024 sites, where the cost is per scan step
     and fold level, and grows to 32 by 4096, where it is per site.
     ``block_totals`` runs all sub-blocks of a chunk as one (lanes,
-    sub-blocks) scan, sampling each site once for every lane; its step
-    values z - v are written one step at a time into one (lanes,
-    sub-blocks) buffer as the scan reads them.  ``_fold`` then multiplies
-    the sub-block totals out.  Chunks hold a power of two of sub-blocks,
-    aligned at ``lo``, fewer the more lanes there are, so that one step
-    touches at most ``_ROW`` values and a chunk samples at most ``_SITES``
-    sites; by alignment each chunk's fold is a node of the fold over the
-    whole block, and a lane's products depend neither on how many lanes
-    walk with it nor on ``_ROW``.
+    sub-blocks) scan, rescaled every ``every`` steps, its step values
+    z - v written one step at a time into one (lanes, sub-blocks) buffer
+    as the scan reads them.  Sites up to ``_FIRST`` are sampled one by
+    one (``orbit``); past it, each step's row over the sub-blocks comes
+    from ``site_rows``, with no cosine per site.  Both carry the float
+    orbit's phase error of about n 1e-16 at site n; a row is within
+    1e-14 of v at its sub-block's start phase turned by t alpha, so the
+    two samplers differ by the orbit's rounding at the two phases.  Which
+    sampler a site gets depends on its position only, since a block
+    either ends by ``_FIRST`` or starts past it.  ``_fold`` then
+    multiplies the sub-block totals out.  A chunk is the largest power of
+    two of sub-blocks, aligned at ``lo``, with at most ``_ROW`` values per
+    step over all lanes; by alignment each chunk's fold is a node of the
+    fold over the whole block, and a lane's products depend neither on
+    how many lanes walk with it nor on ``_ROW``.
     """
-    zcol = zs[:, None]
     S = min(RESCALE_EVERY, max(8, (hi - lo) >> 7))
     full, rem = divmod(hi - lo, S)
     items = full + (rem > 0)
-    chunk = 1 << max(0, min(_ROW // len(zs), _SITES // S).bit_length() - 1)
-    zmax = float(np.abs(zs).max())
+    chunk = 1 << max(0, (_ROW // len(zs)).bit_length() - 1)
 
     def totals(first, count, steps):
         """Normalised totals of ``count`` sub-blocks of ``steps`` sites
         from site ``first``, as (2, 2, lanes, count)."""
-        vals = site_values(first, first + count * steps)
-        every = _rescale_every(zmax + float(np.abs(vals).max()))
-        buf = np.empty((len(zs), count), dtype=complex)
-        rows = (np.subtract(zcol, col, out=buf)
-                for col in np.ascontiguousarray(vals.reshape(count, steps).T))
-        a, b, c, d, _ = block_totals(rows, buf.shape, complex, every)
+        if first > _FIRST:
+            vals = site_rows(v, theta, alpha, range(first, first + count * steps, steps), steps)
+        else:
+            vals = np.ascontiguousarray(
+                v(orbit(theta, alpha, first, first + count * steps)).reshape(count, steps).T)
+        a, b, c, d, _ = block_totals(_step_values(zs, vals, count), (len(zs), count),
+                                     complex, every)
         x = np.array([[a, b], [c, d]])
         normalize_stack(x)
         return x
@@ -213,16 +240,17 @@ def _block_products(zs, site_values, lo: int, hi: int):
     return np.minimum(S << np.arange(len(nodes)), hi - lo), nodes
 
 
-def _halfline_m(zs, site_values, tol, depth_cap):
+def _halfline_m(zs, v, theta, alpha, tol, depth_cap):
     """Backward coefficient-stripping recursion with two-seed control,
-    for every lane z in ``zs`` along one walk of the sites.
-
-    ``site_values(lo, hi)`` must return the potential at sites lo..hi-1
-    (1-based).  All lanes share the depth schedule 64, 128, ...,
-    ``depth_cap``; each retires at the first depth where its seeds agree.
+    for every lane z in ``zs`` along one walk of the sites n = 1, 2, ...
+    with potential v(theta + n alpha).  All lanes share the depth
+    schedule 64, 128, ..., ``depth_cap``; each retires at the first depth
+    where its seeds agree.
     The first walk reaches about the depth the deepest lane needs, up to
     ``_FIRST``, and its depths are checked on the prefix nodes of one
     fold, which are bit for bit the products the doubling would form.
+    The scan's rescaling interval is set once, from max |z| + the
+    coefficient bound ``v.sup_bound()`` on |v|.
     Returns (m, est_error, depth) arrays, one entry per lane.  A settled
     value with Im m <= 0 (Im z so small that rounding took it) raises
     NoConvergence naming z.
@@ -245,9 +273,11 @@ def _halfline_m(zs, site_values, tol, depth_cap):
     reach = min(_FIRST, depth_cap, -math.log(tol) / zs.imag.min()) if len(zs) else 0
     while depth * 2 <= reach:
         depth *= 2
+    every = _rescale_every(float(np.abs(zs).max(initial=0.0)) + v.sup_bound())
     with np.errstate(invalid="ignore", over="ignore"):
         while len(live):
-            sizes, nodes = _block_products(zs[live], site_values, done + 1, depth + 1)
+            sizes, nodes = _block_products(zs[live], v, theta, alpha, every, done + 1,
+                                           depth + 1)
             if x is None:  # checks at 64, 128, ..., depth
                 depths = sizes[sizes >= 64]
                 xs = np.stack(nodes[-len(depths):], axis=2)
@@ -316,7 +346,7 @@ def m_plus_lanes(zs, v: Potential, alpha: float, theta: float, tol: float = 1e-8
     """``m_plus`` at every z in ``zs`` along one walk of the sites: each
     site is sampled once for all of them, and each value equals its own
     ``m_plus`` bit for bit.  Returns (m, est_error, depth) arrays."""
-    return _halfline_m(zs, lambda lo, hi: v(orbit(theta, alpha, lo, hi)), tol, depth_cap)
+    return _halfline_m(zs, v, theta, alpha, tol, depth_cap)
 
 
 def m_minus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,

@@ -171,6 +171,24 @@ def test_resolve_alpha_forms():
     assert f3.cf_terms == (1, 1, 1)
 
 
+def test_presets_are_cached_per_depth_and_precision(monkeypatch):
+    f = resolve_alpha("golden", 40)
+    assert resolve_alpha("golden", 40) is f and resolve_alpha("golden", 40) == f
+    assert resolve_alpha("golden", 41) != f and len(resolve_alpha("golden", 41).cf_terms) == 41
+    assert resolve_alpha("silver", 40) != f
+    monkeypatch.setenv("QUASISPEC_PRECISION", "double")
+    assert resolve_alpha("golden", 40) != f  # the working precision is part of the key
+    monkeypatch.setenv("QUASISPEC_PRECISION", "bogus")
+    with pytest.raises(ValueError):
+        resolve_alpha("golden", 40)
+
+
+def test_decimal_and_cf_specs_are_not_cached():
+    for spec in ("0.41421356237309514", "cf:2,2,2,2,2,2"):
+        f = resolve_alpha(spec, 8)
+        assert resolve_alpha(spec, 8) == f and resolve_alpha(spec, 8) is not f
+
+
 def test_frequency_json():
     f = resolve_alpha("golden", 8)
     obj = f.to_json()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from quasispec.cocycle import (
     lyapunov,
     normalize_stack,
     orbit,
+    site_rows,
     solution,
     step_matrix,
 )
@@ -176,6 +178,56 @@ class TestOrbit:
     def test_reflected_orbit(self):
         # m_minus samples the left half-line this way
         assert np.array_equal(orbit(0.3, -ALPHA, 1, 50), orbit(0.3, ALPHA, -49, 0)[::-1])
+
+    def test_stride_takes_every_stride_th_site(self):
+        assert np.array_equal(orbit(0.21, ALPHA, 1025, 9000, 32), orbit(0.21, ALPHA, 1025, 9000)[::32])
+
+
+def _mp_potential(v, x):
+    """v at the mpf phase x from its modes k >= 0, in the working precision."""
+    out = mpmath.mpf(v.coeffs.get(0, 0j).real)
+    for k, c in v.coeffs.items():
+        if k > 0:
+            arg = 2 * mpmath.pi * k * x
+            out += 2 * (c.real * mpmath.cos(arg) - c.imag * mpmath.sin(arg))
+    return out
+
+
+class TestSiteRows:
+    POTENTIALS = {"amo": Potential.amo(0.5),
+                  "trig3": Potential.trig({0: 0.3, 1: 0.4 - 0.2j, -1: 0.4 + 0.2j, 2: 0.1 + 0.3j,
+                                           -2: 0.1 - 0.3j, 3: -0.25j, -3: 0.25j})}
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_against_mpmath(self, name):
+        # 64 row starts 32 apart just past site 1024 and just below 2**21,
+        # against v(theta + n alpha) in 40 digits.  Each row is within
+        # 1e-14 of v at its start's float orbit phase plus t alpha, and so
+        # no further from the exact value than the float orbit's phase
+        # error in the window allows, which is the per-site sample's error
+        # (up to ~3e-9 in v at 2**21).  Row-by-row maxima of the two
+        # samplers' errors are two independent roundings of that size, and
+        # either can be the larger.
+        v, theta, steps, count = self.POTENTIALS[name], 0.21, 32, 64
+        slope = 2 * math.pi * sum(abs(k * c) for k, c in v.coeffs.items())  # >= sup |v'|
+        for lo in (1025, 2**21 - steps * count):
+            starts = range(lo, lo + steps * count, steps)
+            rows = np.array(list(site_rows(v, theta, ALPHA, starts, steps)))
+            phases = orbit(theta, ALPHA, lo, starts.stop)
+            per_site = v(phases).reshape(count, steps).T
+            exact, carried = np.empty((steps, count)), np.empty((steps, count))
+            with mpmath.workdps(40):
+                th, al = mpmath.mpf(theta), mpmath.mpf(ALPHA)
+                drift = max(abs(mpmath.mpf(x) - mpmath.frac(th + n * al))
+                            for n, x in zip(range(lo, starts.stop), phases.tolist()))
+                for j, s in enumerate(starts):
+                    for t in range(steps):
+                        exact[t, j] = _mp_potential(v, th + (s + t) * al)
+                        carried[t, j] = _mp_potential(v, mpmath.mpf(phases[j * steps]) + t * al)
+            bound = slope * float(drift) + 1e-14
+            assert np.abs(rows - carried).max() <= 1e-14
+            assert np.abs(per_site - exact).max() <= bound
+            assert np.all(np.abs(rows - exact).max(axis=1) <= bound)
 
 
 class TestLyapunov:
