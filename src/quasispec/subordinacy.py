@@ -28,7 +28,7 @@ JL_UPPER = 5.0 + math.sqrt(24.0)
 JL_LOWER = 5.0 - math.sqrt(24.0)
 KKL_UPPER = 2.0 + math.sqrt(3.0)
 KKL_LOWER = 2.0 - math.sqrt(3.0)
-_SITES = 1 << 14  # sites sampled at a time into the ladder's step table
+_SITES = 1 << 12  # sites sampled at a time into the ladder's step table (32 KB pieces)
 _SEGMENT = 4096  # with a floor, the ladder's first segment ends at k = 4096
 
 

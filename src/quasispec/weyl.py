@@ -40,7 +40,8 @@ lanes x sub-blocks, fed one step at a time through a single (lanes,
 sub-blocks) buffer, so no table of all steps is built; the sub-block
 totals are then folded pairwise.  A chunk of the scan is the largest
 power of two of sub-blocks with at most 4096 values per step over all
-lanes, so a one-lane walk scans rows of 4096 sub-blocks.  All rescaling
+lanes and at most 1024 sub-blocks, so walks of up to four lanes scan
+rows of 1024 sub-blocks.  All rescaling
 is by powers of two, which is exact, so a lane's value does not depend
 on the other lanes or on how the block is cut into chunks, and the
 rescaling interval of the scan, set once per walk from max |z| and the
@@ -78,6 +79,7 @@ from .cocycle import (RESCALE_EVERY, Potential, block_totals, normalize_stack, o
 
 DEPTH_CAP_DEFAULT = 10**7
 _ROW = 1 << 12  # lane x sub-block values per scan step: one 64 KB buffer of step values
+_SUB = 1 << 10  # sub-blocks per chunk at most: wider few-lane rows raised peak RSS
 _FIRST = 1024  # the first walk's reach at most, and the last site sampled one by one
 
 
@@ -201,14 +203,15 @@ def _block_products(zs, v, theta, alpha, every: int, lo: int, hi: int):
     either ends by ``_FIRST`` or starts past it.  ``_fold`` then
     multiplies the sub-block totals out.  A chunk is the largest power of
     two of sub-blocks, aligned at ``lo``, with at most ``_ROW`` values per
-    step over all lanes; by alignment each chunk's fold is a node of the
-    fold over the whole block, and a lane's products depend neither on
-    how many lanes walk with it nor on ``_ROW``.
+    step over all lanes and at most ``_SUB`` sub-blocks; by alignment each
+    chunk's fold is a node of the fold over the whole block, and a lane's
+    products depend neither on how many lanes walk with it nor on
+    ``_ROW`` or ``_SUB``.
     """
     S = min(RESCALE_EVERY, max(8, (hi - lo) >> 7))
     full, rem = divmod(hi - lo, S)
     items = full + (rem > 0)
-    chunk = 1 << max(0, (_ROW // len(zs)).bit_length() - 1)
+    chunk = 1 << max(0, min(_ROW // len(zs), _SUB).bit_length() - 1)
 
     def totals(first, count, steps):
         """Normalised totals of ``count`` sub-blocks of ``steps`` sites

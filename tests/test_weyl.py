@@ -296,8 +296,8 @@ class TestErrors:
 
 class TestLanes:
     def test_each_lane_equals_its_own_walk(self):
-        # 40 lanes cut the deep blocks into chunks of 16 sub-blocks where
-        # one lane takes 512: each lane's m, est and depth must still be
+        # 40 lanes cut the deep blocks into chunks of 64 sub-blocks where
+        # one lane takes 1024: each lane's m, est and depth must still be
         # bit for bit those of its own single-z walk; depths run from 64
         # to past the first fold, and the cap cuts the last block short
         v = Potential.amo(0.5)
