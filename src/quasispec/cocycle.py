@@ -76,7 +76,7 @@ class Potential:
         # v(x) = c_0 + sum_{k > 0} 2 Re c_k cos(2 pi k x) - 2 Im c_k sin(2 pi k x)
         self._waves = [(2 * np.pi * k, 2 * c.real, 2 * c.imag)
                        for k, c in sorted(coeffs.items()) if k > 0]
-        self._sup = sum(map(abs, coeffs.values()))  # the strip majorant at band 0
+        self._sup = sum(map(abs, coeffs.values()), 0.0)  # the strip majorant at band 0
 
     @classmethod
     def amo(cls, lam: float) -> "Potential":
@@ -142,8 +142,11 @@ def orbit(theta: float, alpha: float, lo: int, hi: int, stride: int = 1) -> np.n
     below hi: the one sampler of the rotation orbit, so every caller sees
     the same site phases (reduced mod 1, where the potential is
     periodic)."""
-    x = theta + alpha * np.arange(lo, hi, stride)
-    return x - np.floor(x)  # exactly x % 1.0, at a tenth of its cost
+    x = np.arange(lo, hi, stride, dtype=float)  # in place below: two arrays at most
+    x *= alpha
+    x += theta
+    x -= np.floor(x)  # exactly x % 1.0, at a tenth of its cost
+    return x
 
 
 def site_rows(v: Potential, theta: float, alpha: float, starts: range, steps: int):
@@ -155,10 +158,11 @@ def site_rows(v: Potential, theta: float, alpha: float, starts: range, steps: in
 
     with W_k(s) = 2 c_k e^{2 pi i k x_s} formed once per call and the
     table R_k(t) = e^{2 pi i k alpha t} once per (alpha, modes, steps):
-    one complex multiply per mode and site.  A row is within 1e-14 of v
-    at x_s + t alpha for t < 32 (against 40 digits), so it carries the
-    phase error of its start's float orbit, about n 1e-16 at site n, as
-    a per-site ``orbit`` sample carries its own."""
+    one complex multiply per mode and site.  For t < 32 and coefficients
+    of order one a row is within 1e-14 of v at x_s + t alpha (checked
+    against 40 digits), so it carries the phase error of its start's
+    float orbit, about n 1e-16 at site n, as a per-site ``orbit`` sample
+    carries its own."""
     x = orbit(theta, alpha, starts.start, starts.stop, starts.step)
     c0 = v._c0
     ks = [k for k in sorted(v.coeffs) if k > 0]
