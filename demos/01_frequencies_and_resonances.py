@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""Continued fractions, Diophantine scoring, and resonance arithmetic.
+"""Continued fractions and resonance arithmetic.
 
 The golden mean (sqrt(5)-1)/2 has the slowest possible rational
 approximations (all partial quotients 1, Fibonacci denominators); a
-frequency with a huge partial quotient shows up immediately in the
-Diophantine score.  Resonances of a phase theta are the integers k
-where 2*theta is anomalously close to k*alpha on the torus.
+huge partial quotient shows up immediately as a jump in the
+denominators.  Resonances of a phase theta are the integers k where
+2*theta is anomalously close to k*alpha on the torus.
 """
 
 import mpmath
 
 from quasispec import (
-    diophantine_score,
     expand,
     from_terms,
     resolve_alpha,
     resonance_repulsion_check,
     resonances,
 )
-from quasispec.arithmetic import repulsion_exponent
 
 golden = resolve_alpha("golden", 20)
 print("golden mean:", mpmath.nstr(golden.value, 20))
@@ -27,10 +25,9 @@ print("denominators q_n:", golden.denominators[:10])
 print("best-approximation products q_{n+1} ||q_n a||:")
 print("  ", [round(float(golden.denominators[n + 1] * golden.torus_norm_multiple(golden.denominators[n])), 4)
              for n in range(8)])
-print("diophantine score (golden):", round(diophantine_score(golden), 4))
 
 spiky = from_terms([1, 1, 1, 100, 1, 1, 1, 1])
-print("score with a_4 = 100:", round(diophantine_score(spiky), 2), "(spike visible)")
+print("denominators with a_4 = 100:", spiky.denominators[:6], "(jump at q_4)")
 
 print()
 print("resonances of theta = 0 (only the trivial one):")
@@ -46,5 +43,3 @@ pairs = resonance_repulsion_check(rs, golden)
 print("repulsion data (j, |n_j+1|, ||2 theta - n_j alpha||):")
 for row in pairs:
     print("  ", row)
-if len(pairs) >= 2:
-    print("fitted repulsion exponent:", round(repulsion_exponent(pairs), 3))

@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Triangular-cocycle closed forms, the Schrodinger-form reduction, and
-constant-cocycle normalisation.
+"""Triangular-cocycle closed forms and the Schrodinger-form reduction.
 
 The triangular sums X = sum T*_{2j-1} T_{2j-1} have exact closed forms
 (the resonant mode controls whether ||X|| grows like k^3 or saturates);
@@ -14,14 +13,13 @@ import numpy as np
 from quasispec import (
     Potential,
     TriangularCocycle,
-    normalize_constant,
     resolve_alpha,
     schrodinger_reduction,
     tx_asymptotics_check,
     tx_bruteforce,
     tx_closed_form,
 )
-from quasispec.conjugation import BandFunction, perturbed_schrodinger, rotation
+from quasispec.conjugation import BandFunction, perturbed_schrodinger
 
 alpha = resolve_alpha("golden").alpha
 
@@ -53,17 +51,3 @@ A = perturbed_schrodinger(p, (entry(1e-3), entry(1e-3), entry(1e-3)), band)
 res = schrodinger_reduction(A, p, alpha, band)
 print("  ||w|| per iteration:", ["%.2e" % w for w in res.w_norms])
 print(f"  conjugacy residual: {res.residual:.2e} after {res.iterations} iterations")
-
-print("\nconstant-cocycle normalisation to companion form [[E,-1],[1,0]]:")
-for A_star, label in (
-        (np.array([[2.5, -1.0], [1.0, 0.0]]), "already companion"),
-        (np.array([[1.2, 0.3], [0.4, 0.93333333333333333]]), "hyperbolic-ish"),
-        (rotation(0.7), "elliptic, needs the R_{kx} shift"),
-):
-    A_star = A_star / np.sqrt(np.linalg.det(A_star))
-    rec = normalize_constant(A_star, alpha)
-    x = 0.37
-    resid = np.max(np.abs(rec.conjugator(x + alpha) @ A_star
-                          @ np.linalg.inv(rec.conjugator(x)) - rec.target()))
-    print(f"  {label:32s} kind = {rec.kind:10s} E = {rec.energy:+.4f} "
-          f"mode = {rec.mode:+d}  residual = {resid:.1e}")

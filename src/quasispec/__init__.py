@@ -6,7 +6,6 @@ from .arithmetic import (
     Frequency,
     RationalDetected,
     ResonanceSet,
-    diophantine_score,
     expand,
     from_terms,
     resolve_alpha,
@@ -28,11 +27,7 @@ from .conjugation import (
     BandFunction,
     MatFunction,
     NotContracting,
-    NotUnimodular,
-    Normalization,
     TriangularCocycle,
-    normalize_constant,
-    perturbation_bound_check,
     schrodinger_reduction,
     tx_asymptotics_check,
     tx_bruteforce,
@@ -46,8 +41,6 @@ from .spectral import (
     gap_edges,
     holder_fit,
     ids,
-    l1_window_bound,
-    smoothed_window,
     thouless_check,
 )
 from .subordinacy import (

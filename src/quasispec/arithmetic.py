@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath
-import numpy as np
 
 
 class RationalDetected(ValueError):
@@ -99,14 +98,6 @@ class Frequency:
 
     def torus_norm_multiple(self, k: int) -> float:
         return float(self.torus_norm_multiple_mp(k))
-
-    def to_json(self) -> dict:
-        return {
-            "value_decimal_string": mpmath.nstr(self.value, mpmath.mp.dps),
-            "cf_terms": list(self.cf_terms),
-            "convergents": [list(pq) for pq in self.convergents],
-        }
-
 
 def expand(alpha, depth: int) -> Frequency:
     """Continued-fraction expansion of alpha in (0,1) to ``depth`` terms.
@@ -204,19 +195,6 @@ def resolve_alpha(spec, depth: int = 40) -> Frequency:
     return expand(spec, depth)
 
 
-def diophantine_score(freq: Frequency) -> float:
-    """max over n >= 2 of ln q_{n+1} / ln q_n.
-
-    A small score (<= ~3) at the examined depth indicates good
-    Diophantine behaviour; a huge partial quotient produces a spike.
-    """
-    qs = freq.denominators
-    if len(qs) < 3:
-        raise ValueError("need at least 3 convergents")
-    ratios = [math.log(qs[n + 1]) / math.log(qs[n]) for n in range(1, len(qs) - 1)]
-    return max(ratios)
-
-
 @dataclass(frozen=True)
 class ResonanceSet:
     """eps0-resonances of a phase theta: integers k with ||2 theta - k alpha||
@@ -283,13 +261,3 @@ def resonance_repulsion_check(rs: ResonanceSet, freq: Frequency) -> list[tuple[i
             gap = float(_torus_norm_mp(two_theta - rs.indices[j] * freq.value))
             out.append((j, abs(rs.indices[j + 1]), max(gap, floor)))
     return out
-
-
-def repulsion_exponent(pairs: Sequence[tuple[int, int, float]]) -> float:
-    """Least-squares exponent c in |n_{j+1}| ~ gap^{-c} from repulsion pairs."""
-    if len(pairs) < 2:
-        raise ValueError("need at least two pairs to fit an exponent")
-    xs = np.array([-math.log(g) for _, _, g in pairs])
-    ys = np.array([math.log(n) for _, n, _ in pairs])
-    return float(np.polyfit(xs, ys, 1)[0])
-

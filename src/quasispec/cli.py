@@ -150,6 +150,9 @@ def _energy_grid(args) -> np.ndarray:
         raise ValueError("need --e or both --e-min/--e-max")
     if args.e_points < 1:
         raise ValueError("--e-points must be >= 1")
+    if args.e_points >= 2 and args.e_min >= args.e_max:
+        raise ValueError(f"an energy grid needs --e-min < --e-max, got "
+                         f"{args.e_min} and {args.e_max}")
     return np.linspace(args.e_min, args.e_max, args.e_points)
 
 

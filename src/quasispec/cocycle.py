@@ -52,9 +52,9 @@ class Potential:
     """Real-analytic sampled potential on R/Z: a finite set of Fourier
     modes with hermitian coefficients, so the function is real on the
     real axis.  ``amo`` (2*lambda*cos(2 pi x)) is the modes +-1 at
-    lambda; ``variant`` and ``lam`` only label it for ``to_json`` and
-    ``repr``.  The evaluator accepts complex arguments, so the function
-    extends to any strip |Im x| <= band.
+    lambda; ``variant`` and ``lam`` only label it for ``repr``.  The
+    evaluator accepts complex arguments, so the function extends to any
+    strip |Im x| <= band.
     """
 
     __slots__ = ("variant", "lam", "coeffs", "_c0", "_waves", "_sup")
@@ -119,17 +119,6 @@ class Potential:
         if band == 0.0:  # on the real axis, where every m-function walk asks
             return self._sup
         return float(strip_majorant(list(self.coeffs), list(self.coeffs.values()), band))
-
-    def to_json(self) -> dict:
-        if self.variant == "amo":
-            return {"variant": "amo", "lambda": self.lam}
-        return {"variant": "trigpoly", "coeffs": [[k, c.real, c.imag] for k, c in sorted(self.coeffs.items())]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Potential":
-        if obj["variant"] == "amo":
-            return cls.amo(obj["lambda"])
-        return cls.trig({int(k): complex(re, im) for k, re, im in obj["coeffs"]})
 
     def __repr__(self):
         if self.variant == "amo":

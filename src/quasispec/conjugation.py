@@ -1,6 +1,5 @@
-"""Band-analytic function algebra, triangular-cocycle closed forms,
-the Schrodinger-form reduction iteration, and constant-cocycle
-normalisation.
+"""Band-analytic function algebra, triangular-cocycle closed forms and
+the Schrodinger-form reduction iteration.
 
 Band norms are the Fourier-coefficient majorant sum |f_k| e^{2 pi eps |k|}
 (``cocycle.strip_majorant``, as are the mode sum and the 2x2 adjugate),
@@ -23,16 +22,11 @@ from .cocycle import Potential, adjugate, mode_sum, strip_majorant
 
 MODE_DROP_REL = 1e-16
 LOG_GUARD = math.log(2.0)
-TILDE_T_CONSTANT = 1.0 / 16.0  # implemented c of the perturbation premise
 CONTRACTION_GUARD = 1e3
 
 
 class NotContracting(RuntimeError):
     """The reduction iteration lost its superlinear contraction."""
-
-
-class NotUnimodular(ValueError):
-    """Input matrix determinant is not 1 within tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +126,6 @@ class MatFunction:
                           for j in range(2)) for i in range(2))
         return cls(ent, band)
 
-    def to_json(self) -> dict:
-        ent = []
-        for i in range(2):
-            for j in range(2):
-                f = self.entries[i][j]
-                ent.append([[k, c.real, c.imag] for k, c in sorted(f.coeffs.items())])
-        return {"band": self.band, "entries": ent}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MatFunction":
-        band = obj["band"]
-        funcs = [BandFunction({int(k): complex(re, im) for k, re, im in e}, band)
-                 for e in obj["entries"]]
-        return cls(((funcs[0], funcs[1]), (funcs[2], funcs[3])), band)
-
 
 def schrodinger_matfunction(p: Potential, band: float) -> MatFunction:
     """The cocycle map [[p(x), -1], [1, 0]] as a MatFunction."""
@@ -239,11 +218,6 @@ class TriangularCocycle:
     def delta(self) -> float:
         return self.r * self.alpha - 2.0 * self.theta
 
-    def step(self, x: float) -> np.ndarray:
-        p = cmath.exp(2j * math.pi * self.theta)
-        return np.array([[p, self.t_hat * cmath.exp(2j * math.pi * self.r * x)],
-                         [0.0, p.conjugate()]])
-
 
 @dataclass(frozen=True)
 class TXRecord:
@@ -298,23 +272,6 @@ def tx_closed_form(tc: TriangularCocycle, x: float) -> TXRecord:
     return _tx_record(k, x1, float(x2))
 
 
-def tx_det_display(tc: TriangularCocycle) -> float:
-    """The displayed determinant closed form, for cross-checking.
-
-    Falls back to the entrywise record when the sine ratio degenerates
-    (delta within 1e-9 of a half-integer).
-    """
-    k, t, d = tc.k, tc.t_hat, tc.delta
-    if torus_norm(d) < 1e-12:
-        return k * k * (1.0 + abs(t) ** 2 * (k * k - 1.0) / 3.0)
-    s2 = math.sin(2 * math.pi * d)
-    if abs(s2) <= 1e-9:
-        return tx_closed_form(tc, 0.0).detX
-    q = cmath.exp(2j * math.pi * d)
-    ratio = math.sin(2 * math.pi * k * d) / (k * s2)
-    return k * k * (1.0 + abs(t) ** 2 / abs(q - 1.0) ** 2 * (1.0 - ratio ** 2))
-
-
 def tx_bruteforce(tc: TriangularCocycle, x: float) -> TXRecord:
     """Direct product-and-sum oracle for X (guard: k <= 1e6).
 
@@ -340,17 +297,6 @@ def tx_bruteforce(tc: TriangularCocycle, x: float) -> TXRecord:
     return _tx_record(tc.k, x1, float(x2))
 
 
-def tx_entry_formula(tc: TriangularCocycle, x: float, j: int) -> complex:
-    """Displayed corner entry t_j of the iterate T_j."""
-    d = tc.delta
-    q = cmath.exp(2j * math.pi * d)
-    if abs(q - 1.0) < 1e-12:
-        ratio = complex(j)
-    else:
-        ratio = (q ** j - 1.0) / (q - 1.0)
-    return tc.t_hat * cmath.exp(2j * math.pi * (tc.r * x + (j - 1) * tc.theta)) * ratio
-
-
 @dataclass(frozen=True)
 class AsymptoticsRecord:
     norm_ratio: float
@@ -368,50 +314,6 @@ def tx_asymptotics_check(tc: TriangularCocycle, x: float) -> AsymptoticsRecord:
     comparison = tc.k * (1.0 + abs(tc.t_hat) ** 2 * min(tc.k ** 2, inv2))
     return AsymptoticsRecord(norm_ratio=rec.normX / comparison,
                              inv_ratio=rec.invnormX / tc.k)
-
-
-@dataclass(frozen=True)
-class PerturbationRecord:
-    lhs: float            # ||X~ - X|| at x
-    premise: float        # ||T~ - T||_0 over a phase grid
-    threshold: float      # c k^{-2} (1 + 2k ||t||_0)^{-2}
-    premise_ok: bool
-    holds: bool           # lhs <= 1
-
-
-def triangular_matfunction(tc: TriangularCocycle, band: float = 0.0) -> MatFunction:
-    p = cmath.exp(2j * math.pi * tc.theta)
-    return MatFunction((
-        (BandFunction.constant(p, band), BandFunction({tc.r: complex(tc.t_hat)}, band)),
-        (BandFunction.constant(0.0, band), BandFunction.constant(p.conjugate(), band)),
-    ), band)
-
-
-def perturbation_bound_check(tc: TriangularCocycle, x: float,
-                             Ttilde: MatFunction, grid: int = 512) -> PerturbationRecord:
-    """Check ||X~ - X|| <= 1 under the premise ||T~ - T||_0 small.
-
-    The implemented premise constant is c = 1/16 (the paper's c is
-    non-effective); the record reports both sides so sweeps can locate
-    the empirical threshold.
-    """
-    X = tx_bruteforce(tc, x)
-    Xmat = np.array([[tc.k, X.x1], [X.x1.conjugate(), X.x2]])
-    M = np.eye(2, dtype=complex)
-    Xt = np.zeros((2, 2), dtype=complex)
-    for j in range(2 * tc.k - 1):
-        M = Ttilde(x + j * tc.alpha) @ M
-        if j % 2 == 0:
-            Xt += M.conj().T @ M
-    lhs = np.linalg.norm(Xt - Xmat, 2)
-    sup = max((np.linalg.norm(Ttilde(xv) - tc.step(xv), 2) for xv in np.arange(grid) / grid),
-              default=0.0)
-    t0 = abs(tc.t_hat)
-    threshold = TILDE_T_CONSTANT * tc.k ** -2 * (1.0 + 2.0 * tc.k * t0) ** -2
-    return PerturbationRecord(lhs=float(lhs), premise=float(sup),
-                              threshold=float(threshold),
-                              premise_ok=bool(sup <= threshold),
-                              holds=bool(lhs <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -535,157 +437,3 @@ def perturbed_schrodinger(v: Potential, w_entries, band: float,
     w[:, 1, 1] = -w[:, 0, 0]
     ew = mat_exp_grid(w)
     return MatFunction.from_grid(_schrodinger_grid(np.asarray(v(xs), dtype=float)) @ ew, band)
-
-
-# ---------------------------------------------------------------------------
-# constant-cocycle normalisation
-
-
-def rotation(t: float) -> np.ndarray:
-    c, s = math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)
-    return np.array([[c, -s], [s, c]])
-
-
-def companion(E: float) -> np.ndarray:
-    return np.array([[E, -1.0], [1.0, 0.0]])
-
-
-def _c_theta(theta: float) -> np.ndarray:
-    """The explicit conjugator with C_theta R_theta C_theta^{-1} companion;
-    requires sin(2 pi theta) in (0, 1)."""
-    s = math.sin(2 * math.pi * theta)
-    c = math.cos(2 * math.pi * theta)
-    if not (0.0 < s < 1.0):
-        raise ValueError("sin(2 pi theta) must lie in (0,1)")
-    inv = np.array([[0.0, -s], [1.0, -c]]) / math.sqrt(s)
-    return np.linalg.inv(inv)
-
-
-def _shift_mode(theta: float, alpha: float, max_k: int = 10000) -> int:
-    """Smallest |k| (positive first) with sin(2 pi (theta + k alpha)) in (0,1)."""
-    for mag in range(0, max_k + 1):
-        for k in ([0] if mag == 0 else [mag, -mag]):
-            s = math.sin(2 * math.pi * (theta + k * alpha))
-            if 0.0 < s < 1.0:
-                return k
-    raise RuntimeError("no admissible rotation shift found")
-
-
-@dataclass(frozen=True)
-class Normalization:
-    """Conjugation data bringing a constant SL(2,R) matrix to companion
-    form [[E, -1], [1, 0]].
-
-    The full conjugator is C(x) = pre @ R_{mode * x} @ post; for the
-    parabolic case ``post`` must additionally be left-multiplied by the
-    Jordan shrinker [[eps, 0], [eps, 1/eps]] with a caller-supplied
-    schedule eps_n (the defect decay rate fixes the admissible schedule,
-    which the source construction leaves open).
-    """
-
-    kind: str                 # 'hyperbolic' | 'elliptic' | 'parabolic'
-    pre: np.ndarray
-    mode: int
-    post: np.ndarray
-    energy: float | None
-    theta: float | None
-    jordan_scale: float | None = None   # off-diagonal of the Jordan form
-
-    def conjugator(self, x: float, eps: float | None = None) -> np.ndarray:
-        mid = rotation(self.mode * x)
-        post = self.post
-        if self.kind == "parabolic":
-            if eps is None:
-                raise ValueError("parabolic normalisation needs a shrinker eps")
-            post = self.shrinker(eps)
-        return self.pre @ mid @ post
-
-    def shrinker(self, eps: float) -> np.ndarray:
-        if self.kind != "parabolic":
-            raise ValueError("shrinker only applies to the parabolic case")
-        return np.array([[eps, 0.0], [eps, 1.0 / eps]]) @ self.post
-
-    def target(self) -> np.ndarray:
-        return companion(self.energy)
-
-
-def normalize_constant(A_star: np.ndarray, alpha: float) -> Normalization:
-    """Conjugator bringing A_star to companion form [[E, -1],[1, 0]], E != 0.
-
-    Case |tr| > 2 converts through the diagonal form; |tr| < 2 through a
-    rotation R_theta and the explicit C_theta (shifting theta by k alpha,
-    which costs the x-dependent factor R_{kx}, whenever sin 2 pi theta
-    falls outside (0,1)); |tr| = 2 returns the Jordan-shrinking data.
-    """
-    A = np.asarray(A_star, dtype=float)
-    det = float(np.linalg.det(A))
-    if abs(det - 1.0) > 1e-10:
-        raise NotUnimodular(f"det A_star = {det} != 1")
-    tr = float(np.trace(A))
-
-    if abs(A[0, 1] + 1.0) < 1e-12 and abs(A[1, 0] - 1.0) < 1e-12 \
-            and abs(A[1, 1]) < 1e-12 and abs(A[0, 0]) > 1e-12:
-        return Normalization(kind="companion", pre=np.eye(2), mode=0,
-                             post=np.eye(2), energy=float(A[0, 0]), theta=None)
-
-    if abs(tr) > 2.0 + 1e-12:
-        lam = (tr + math.copysign(math.sqrt(tr * tr - 4.0), tr)) / 2.0
-        evals, evecs = np.linalg.eig(A)
-        order = np.argsort(-np.abs(evals))
-        V = np.real(evecs[:, order])
-        Wc = np.array([[lam, 1.0 / lam], [1.0, 1.0]])
-        C0 = Wc @ np.linalg.inv(V)
-        d = float(np.linalg.det(C0))
-        if d < 0:
-            V[:, 0] = -V[:, 0]
-            C0 = Wc @ np.linalg.inv(V)
-            d = float(np.linalg.det(C0))
-        C = C0 / math.sqrt(d)
-        return Normalization(kind="hyperbolic", pre=C, mode=0,
-                             post=np.eye(2), energy=tr, theta=None)
-
-    if abs(tr) < 2.0 - 1e-12:
-        evals, evecs = np.linalg.eig(A)
-        i = int(np.argmax(evals.imag))
-        wvec = evecs[:, i]
-        P = np.column_stack([wvec.real, wvec.imag])
-        if np.linalg.det(P) < 0:
-            P = np.column_stack([wvec.real, -wvec.imag])
-        P = P / math.sqrt(float(np.linalg.det(P)))
-        Ct = np.linalg.inv(P)
-        R = Ct @ A @ np.linalg.inv(Ct)
-        theta = math.atan2(R[1, 0], R[0, 0]) / (2 * math.pi)
-        k = _shift_mode(theta, alpha)
-        pre = _c_theta(theta + k * alpha)
-        E = 2.0 * math.cos(2 * math.pi * (theta + k * alpha))
-        return Normalization(kind="elliptic", pre=pre, mode=k, post=Ct,
-                             energy=E, theta=theta)
-
-    # |tr| = 2: parabolic
-    sigma = 1.0 if tr > 0 else -1.0
-    B = sigma * A
-    theta = 0.0 if sigma > 0 else 0.5
-    if np.max(np.abs(B - np.eye(2))) < 1e-12:
-        Q = np.eye(2)
-        m_scale = 0.0
-    else:
-        N = B - np.eye(2)  # nilpotent: N @ N = 0
-        f0 = np.array([1.0, 0.0])
-        e = N @ f0
-        if np.max(np.abs(e)) < 1e-12:
-            f0 = np.array([0.0, 1.0])
-            e = N @ f0
-        Q = np.column_stack([e, f0])
-        dq = float(np.linalg.det(Q))
-        if dq < 0:
-            Q = np.column_stack([-e, f0])
-            dq = -dq
-        Q = Q / math.sqrt(dq)
-        J = np.linalg.inv(Q) @ B @ Q
-        m_scale = float(J[0, 1])
-    k = _shift_mode(theta, alpha)
-    pre = _c_theta(theta + k * alpha)
-    E = 2.0 * math.cos(2 * math.pi * (theta + k * alpha))
-    return Normalization(kind="parabolic", pre=pre, mode=k,
-                         post=np.linalg.inv(Q), energy=E, theta=theta,
-                         jordan_scale=m_scale)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import Potential, block_count, block_starts, block_totals, orbit
-from .weyl import DEPTH_CAP_DEFAULT, _m_triples, m_triple
+from .weyl import DEPTH_CAP_DEFAULT, _m_triples
 
 
 def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
@@ -206,16 +206,6 @@ def in_spectrum(v: Potential, alpha: float, E: float, delta: float,
     return int(counts[1] - counts[0]) > 2
 
 
-def smoothed_window(E: float, eps: float, v: Potential, alpha: float,
-                    theta: float, tol: float = 1e-8) -> float:
-    """w = 2 eps Im M(E + i eps), an upper proxy for the corner-measure
-    window mu(E-eps, E+eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    t = m_triple(complex(E, eps), v, alpha, theta, tol)
-    return 2.0 * eps * t.M.imag
-
-
 @dataclass(frozen=True)
 class HolderFit:
     """Log-log fit of the window proxy against eps on a geometric ladder."""
@@ -293,30 +283,6 @@ def thouless_check(E: float, v: Potential, alpha: float, ids_table: IdsTable,
                           residual=abs(integral - float(lyap_value)))
 
 
-def l1_window_bound(f: dict[int, complex], J: tuple[float, float], v: Potential,
-                    alpha: float, theta: float, tol: float = 1e-8) -> float:
-    """Upper proxy for mu^f(J) via the seminorm triangle inequality:
-    (sum_k |f(k)| w_k^{1/2})^2, with w_k the smoothed window at phase
-    theta + k alpha and eps = |J|/2 centered on J.
-
-    Per-vector measures are bounded through the shift identity
-    mu^{e_k}_x = mu^{e_0}_{x + k alpha}; they are never computed
-    independently.
-    """
-    a, b = min(J), max(J)
-    mid, eps = 0.5 * (a + b), 0.5 * (b - a)
-    if eps <= 0:
-        raise ValueError("J must have positive length")
-    total = 0.0
-    for k in sorted(f):
-        c = abs(f[k])
-        if c == 0:
-            continue
-        wk = smoothed_window(mid, eps, v, alpha, theta + k * alpha, tol)
-        total += c * math.sqrt(max(wk, 0.0))
-    return total * total
-
-
 @dataclass(frozen=True)
 class GapRecord:
     e_left: float
@@ -333,9 +299,12 @@ def gap_edges(ids_table: IdsTable, plateau_tol: float | None = None) -> list[Gap
     gap, each stepping the box IDS by 1/size and splitting the plateau;
     adjacent plateaus whose levels differ by at most 3/size and whose
     separation is at most 3 grid steps are merged back into one gap.
+    A table whose energies are not strictly increasing raises ValueError.
     """
     Es = ids_table.energies
     Ns = ids_table.N_values
+    if not np.all(np.diff(Es) > 0):
+        raise ValueError("gap_edges needs strictly increasing energies")
     if plateau_tol is None:
         plateau_tol = 0.5 / ids_table.size
     raw = []

@@ -16,7 +16,7 @@ ties the half-line m-function to the ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

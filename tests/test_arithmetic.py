@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 from quasispec.arithmetic import (
     Frequency,
     RationalDetected,
-    diophantine_score,
     expand,
     from_terms,
-    repulsion_exponent,
     resolve_alpha,
     resonance_distance,
     resonance_repulsion_check,
@@ -81,28 +79,6 @@ def test_torus_norm_properties(x, y):
     assert abs(tn(x) - tn(y)) <= abs(x - y) + 1e-9
 
 
-def test_diophantine_score_golden():
-    f = resolve_alpha("golden", 10)
-    s = diophantine_score(f)
-    # max ratio is ln q_3 / ln q_2 = ln 3 / ln 2 for Fibonacci denominators
-    assert s == pytest.approx(math.log(3) / math.log(2), rel=1e-12)
-    assert s < 1.8
-
-
-def test_diophantine_score_spike():
-    f = from_terms([1, 1, 1, 100, 1, 1, 1, 1])
-    qs = f.denominators
-    assert qs[3] == 100 * qs[2] + qs[1]
-    s = diophantine_score(f)
-    assert s == pytest.approx(math.log(qs[3]) / math.log(qs[2]), rel=1e-12)
-    assert s > 4.0
-
-
-def test_diophantine_score_at_least_one():
-    for preset in ("golden", "silver"):
-        assert diophantine_score(resolve_alpha(preset, 12)) >= 1.0
-
-
 def test_resonances_zero_always_present():
     f = resolve_alpha("golden", 30)
     for theta in (0.0, 0.3, 0.123):
@@ -152,11 +128,6 @@ def test_repulsion_check_single_index_empty():
     assert resonance_repulsion_check(rs, f) == []
 
 
-def test_repulsion_exponent_fit():
-    pairs = [(0, 10, 1e-1), (1, 100, 1e-2), (2, 1000, 1e-3)]
-    assert repulsion_exponent(pairs) == pytest.approx(1.0, rel=1e-6)
-
-
 def test_from_terms_reproduces_leading_quotients():
     f = from_terms([3, 1, 4, 1, 5])
     assert f.cf_terms == (3, 1, 4, 1, 5)
@@ -187,14 +158,6 @@ def test_decimal_and_cf_specs_are_not_cached():
     for spec in ("0.41421356237309514", "cf:2,2,2,2,2,2"):
         f = resolve_alpha(spec, 8)
         assert resolve_alpha(spec, 8) == f and resolve_alpha(spec, 8) is not f
-
-
-def test_frequency_json():
-    f = resolve_alpha("golden", 8)
-    obj = f.to_json()
-    assert obj["cf_terms"] == [1] * 8
-    assert obj["convergents"][-1] == [21, 34]
-    assert obj["value_decimal_string"].startswith("0.618")
 
 
 def test_frequency_rejects_bad_convergents():

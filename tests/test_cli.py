@@ -333,6 +333,26 @@ class TestExitCodes:
         assert rc == 2
         assert "--e-points must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "--e-min", "3.2", "--e-max", "-3.2", "--e-points", "641", "--size", "400"],
+        ["ids", "--e-min", "1", "--e-max", "1", "--e-points", "5", "--size", "200"],
+        ["lyapunov", "--e-min", "2", "--e-max", "-2", "--e-points", "5", "--n", "100"],
+        ["thouless", "--e-min", "1", "--e-max", "-1", "--e-points", "3", "--n", "100",
+         "--size", "200"],
+    ], ids=["gaps-reversed", "ids-equal", "lyapunov-reversed", "thouless-reversed"])
+    def test_grid_not_increasing_is_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "needs --e-min < --e-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_point_grid_ignores_order(self, tmp_path):
+        # one point is --e-min, whatever --e-max is
+        out = tmp_path / "i.csv"
+        assert main(["ids", "--e-min", "1", "--e-max", "-1", "--e-points", "1",
+                     "--size", "200", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("1.0,")
+
     def test_gaps_single_point_is_2(self, tmp_path, capsys):
         rc = main(["gaps", "--e-min", "-3", "--e-max", "3", "--e-points", "1",
                    "--size", "200", "--out", str(tmp_path / "g.csv")])

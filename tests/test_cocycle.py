@@ -62,13 +62,6 @@ class TestPotential:
         z = v(0.1 + 0.02j)
         assert abs(z) <= v.sup_bound(0.02) + 1e-12
 
-    def test_json_roundtrip(self):
-        for v in (Potential.amo(0.7), Potential.trig({0: 3.0, 2: 1j, -2: -1j})):
-            w = Potential.from_json(v.to_json())
-            xs = RNG.uniform(0, 1, 8)
-            assert np.allclose(v(xs), w(xs))
-
-
 class TestStackToolkit:
     def test_adjugate_inverts_det_one(self):
         m = np.random.default_rng(8).normal(size=(8, 2, 2))

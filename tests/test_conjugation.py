@@ -1,6 +1,3 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 
@@ -8,27 +5,17 @@ from quasispec.arithmetic import resolve_alpha
 from quasispec.cocycle import Potential
 from quasispec.conjugation import (
     BandFunction,
-    MatFunction,
     NotContracting,
-    NotUnimodular,
     TriangularCocycle,
     certified_min_abs,
-    companion,
     mat_exp_grid,
     mat_log_grid,
-    normalize_constant,
-    perturbation_bound_check,
     perturbed_schrodinger,
-    rotation,
     schrodinger_matfunction,
     schrodinger_reduction,
-    triangular_matfunction,
     tx_asymptotics_check,
     tx_bruteforce,
     tx_closed_form,
-    tx_det_display,
-    tx_entry_formula,
-    _c_theta,
 )
 
 ALPHA = resolve_alpha("golden", 40).alpha
@@ -61,13 +48,6 @@ class TestTriangularOracle:
             assert tx_closed_form(tc, rng.uniform()).detX == 1.0
             assert tx_bruteforce(tc, rng.uniform()).detX == 1.0
 
-    def test_det_display_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            tc = random_tc(rng)
-            rec = tx_closed_form(tc, 0.0)
-            assert abs(tx_det_display(tc) - rec.detX) / max(1.0, rec.detX) < 1e-9
-
     def test_zero_corner_gives_scaled_identity(self):
         tc = TriangularCocycle(theta=0.3, alpha=ALPHA, r=2, t_hat=0.0, k=50)
         for rec in (tx_closed_form(tc, 0.4), tx_bruteforce(tc, 0.4)):
@@ -76,14 +56,6 @@ class TestTriangularOracle:
             assert rec.detX == pytest.approx(2500.0)
             assert rec.normX == pytest.approx(50.0)
             assert rec.invnormX == pytest.approx(50.0)
-
-    def test_entrywise_iterate_formula(self):
-        tc = TriangularCocycle(theta=0.21, alpha=ALPHA, r=3, t_hat=0.5 - 0.1j, k=30)
-        x = 0.07
-        M = np.eye(2, dtype=complex)
-        for j in range(1, 21):
-            M = tc.step(x + (j - 1) * ALPHA) @ M
-            assert abs(M[0, 1] - tx_entry_formula(tc, x, j)) < 1e-10
 
     def test_hermitian_positive(self):
         rng = np.random.default_rng(10)
@@ -124,45 +96,6 @@ class TestAsymptotics:
         assert rec.inv_ratio == 1.0
 
 
-class TestPerturbationBound:
-    def test_unperturbed(self):
-        tc = TriangularCocycle(theta=0.13, alpha=ALPHA, r=1, t_hat=0.6, k=30)
-        rec = perturbation_bound_check(tc, 0.2, triangular_matfunction(tc))
-        assert rec.lhs == pytest.approx(0.0, abs=1e-10)
-        assert rec.holds and rec.premise_ok
-
-    def test_at_threshold_bound_holds(self):
-        tc = TriangularCocycle(theta=0.13, alpha=ALPHA, r=1, t_hat=0.6, k=30)
-        eta = 0.999 * perturbation_bound_check(tc, 0.2, triangular_matfunction(tc)).threshold
-        T = triangular_matfunction(tc)
-        pert = MatFunction(((T.entries[0][0], _plus_const(T.entries[0][1], eta)),
-                            (T.entries[1][0], T.entries[1][1])), T.band)
-        rec = perturbation_bound_check(tc, 0.2, pert)
-        assert rec.premise_ok
-        assert rec.holds
-
-    def test_violation_probe(self):
-        # sweeping eta upward from the (conservative) implemented
-        # threshold locates the empirical violation point
-        tc = TriangularCocycle(theta=0.13, alpha=ALPHA, r=1, t_hat=1.5, k=60)
-        base = perturbation_bound_check(tc, 0.2, triangular_matfunction(tc)).threshold
-        T = triangular_matfunction(tc)
-        for mult in (10.0, 1e3, 1e5, 1e7, 1e9):
-            pert = MatFunction(((T.entries[0][0], _plus_const(T.entries[0][1], mult * base)),
-                                (T.entries[1][0], T.entries[1][1])), T.band)
-            rec = perturbation_bound_check(tc, 0.2, pert)
-            if rec.lhs > 1.0:
-                break
-        assert rec.lhs > 1.0
-        assert not rec.premise_ok
-
-
-def _plus_const(f: BandFunction, c: complex) -> BandFunction:
-    coeffs = dict(f.coeffs)
-    coeffs[0] = coeffs.get(0, 0.0) + c
-    return BandFunction(coeffs, f.band)
-
-
 class TestBandFunctions:
     def test_majorant_dominates_strip_sup(self):
         f = BandFunction({0: 1.0, 2: 0.3 + 0.4j, -2: 0.3 - 0.4j, 5: 0.05}, band=0.04)
@@ -181,13 +114,6 @@ class TestBandFunctions:
         g = BandFunction.from_grid(f.to_grid(64), band=0.03)
         for k in f.coeffs:
             assert g.coeffs[k] == pytest.approx(f.coeffs[k], abs=1e-12)
-
-    def test_matfunction_json_roundtrip(self):
-        mf = schrodinger_matfunction(Potential.trig({0: 3.0, 1: -0.5, -1: -0.5}), 0.05)
-        back = MatFunction.from_json(mf.to_json())
-        xs = RNG.uniform(0, 1, 8)
-        for x in xs:
-            assert np.allclose(back(x), mf(x))
 
     def test_matlog_matexp_inverse(self):
         rng = np.random.default_rng(4)
@@ -259,74 +185,3 @@ class TestReduction:
         A = perturbed_schrodinger(p, w, band)
         with pytest.raises(ValueError):
             schrodinger_reduction(A, p, ALPHA, band)
-
-
-class TestNormalizeConstant:
-    def test_companion_fast_path(self):
-        rec = normalize_constant(np.array([[2.5, -1.0], [1.0, 0.0]]), ALPHA)
-        assert rec.energy == 2.5
-        assert np.allclose(rec.conjugator(0.3), np.eye(2))
-
-    def test_hyperbolic(self):
-        A = np.array([[3.0, 1.0], [1.0, 0.5]])
-        A /= math.sqrt(np.linalg.det(A))
-        rec = normalize_constant(A, ALPHA)
-        C = rec.conjugator(0.0)
-        assert np.max(np.abs(C @ A @ np.linalg.inv(C) - rec.target())) < 1e-10
-        assert abs(rec.energy) > 2
-
-    def test_elliptic_direct_window(self):
-        theta = math.asin(0.5) / (2 * math.pi)  # sin(2 pi theta) = 1/2
-        R = rotation(theta)
-        Ct = _c_theta(theta)
-        target = companion(2 * math.cos(2 * math.pi * theta))
-        assert np.max(np.abs(Ct @ R @ np.linalg.inv(Ct) - target)) < 1e-12
-        rec = normalize_constant(R, ALPHA)
-        assert rec.mode == 0
-        C = rec.conjugator(0.0)
-        assert np.max(np.abs(C @ R @ np.linalg.inv(C) - rec.target())) < 1e-10
-
-    def test_elliptic_with_phase_shift(self):
-        theta = 0.7  # sin(2 pi theta) < 0 forces a k alpha shift
-        R = rotation(theta)
-        rec = normalize_constant(R, ALPHA)
-        assert rec.mode != 0
-        for x in (0.0, 0.31, 0.88):
-            lhs = rec.conjugator(x + ALPHA) @ R @ np.linalg.inv(rec.conjugator(x))
-            assert np.max(np.abs(lhs - rec.target())) < 1e-10
-        assert abs(rec.energy) > 1e-12
-
-    def test_elliptic_generic_matrix(self):
-        M = np.array([[0.9, -0.7], [0.5, 0.72]])
-        M /= math.sqrt(np.linalg.det(M))
-        assert abs(np.trace(M)) < 2
-        rec = normalize_constant(M, ALPHA)
-        for x in (0.1, 0.6):
-            lhs = rec.conjugator(x + ALPHA) @ M @ np.linalg.inv(rec.conjugator(x))
-            assert np.max(np.abs(lhs - rec.target())) < 1e-9
-
-    def test_parabolic_shrinking(self):
-        J = np.array([[1.0, 1.0], [0.0, 1.0]])
-        rec = normalize_constant(J, ALPHA)
-        assert rec.kind == "parabolic"
-        # prescribed defect sequence: ||C^(n)||^2 * defect_n -> 0
-        vals = []
-        for n in range(1, 6):
-            eps = 2.0 ** -n
-            defect = eps ** 3
-            C = rec.shrinker(eps)
-            drift = np.max(np.abs(C @ J @ np.linalg.inv(C) - rotation(rec.theta)))
-            vals.append(np.linalg.norm(C, 2) ** 2 * defect)
-            assert drift < 10 * eps ** 2 + 1e-12
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < vals[0] / 8  # ~ eps decay, heading to zero
-
-    def test_parabolic_negative_trace(self):
-        A = -np.array([[1.0, 0.7], [0.0, 1.0]])
-        rec = normalize_constant(A, ALPHA)
-        assert rec.kind == "parabolic"
-        assert rec.theta == 0.5
-
-    def test_not_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            normalize_constant(np.array([[2.0, 0.0], [0.0, 1.0]]), ALPHA)

@@ -14,9 +14,7 @@ from quasispec.spectral import (
     holder_fit,
     ids,
     in_spectrum,
-    l1_window_bound,
     refine_gap_edge,
-    smoothed_window,
     sturm_counts,
     thouless_check,
 )
@@ -239,24 +237,6 @@ class TestThouless:
         assert rec.residual < 0.05
 
 
-class TestSmoothedWindow:
-    def test_free_window_linear_scaling(self):
-        eps = 1e-3
-        w = smoothed_window(0.0, eps, FREE, ALPHA, 0.0, tol=1e-9)
-        assert w == pytest.approx(2 * eps, rel=0.01)
-
-    def test_kernel_monotonicity(self):
-        eps = np.geomspace(1e-3, 1e-1, 8)
-        w = np.array([smoothed_window(0.5, e, AMO, ALPHA, 0.0, 1e-9) for e in eps])
-        im_over_eps = w / (2 * eps * eps)
-        assert np.all(np.diff(im_over_eps) <= im_over_eps[:-1] * 1e-6)
-        assert np.all(np.diff(w) >= -w[1:] * 1e-6)
-
-    def test_positive_eps_required(self):
-        with pytest.raises(ValueError):
-            smoothed_window(0.0, 0.0, FREE, ALPHA, 0.0)
-
-
 class TestHolderFit:
     def test_free_interior_slope(self):
         fit = holder_fit(0.0, FREE, ALPHA, 0.0, (1e-4, 1e-1), 16, tol=1e-9)
@@ -272,6 +252,21 @@ class TestHolderFit:
         scaled = fit.im_sqrt_eps
         assert scaled.max() / scaled.min() < 1e3
 
+    def test_free_window_linear_scaling(self):
+        # the window proxy w = 2 eps Im M is 2 eps at the free band centre
+        fit = holder_fit(0.0, FREE, ALPHA, 0.0, (1e-3, 1e-1), 8, tol=1e-9)
+        assert fit.w[0] == pytest.approx(2e-3, rel=0.01)
+
+    def test_window_monotone_in_eps(self):
+        # w grows with eps while Im M / eps = w / (2 eps^2) shrinks
+        fit = holder_fit(0.5, AMO, ALPHA, 0.0, (1e-3, 1e-1), 8, tol=1e-9)
+        im_over_eps = fit.w / (2 * fit.eps * fit.eps)
+        assert np.all(np.diff(im_over_eps) <= im_over_eps[:-1] * 1e-6)
+        assert np.all(np.diff(fit.w) >= -fit.w[1:] * 1e-6)
+
+    def test_positive_eps_required(self):
+        with pytest.raises(ValueError, match="eps_range must be positive"):
+            holder_fit(0.0, FREE, ALPHA, 0.0, (0.0, 1e-1), 8)
 
     def test_each_point_is_its_own_m_triple(self):
         # the eps ladder runs as lanes of one m+ and one m- walk, and each
@@ -279,32 +274,6 @@ class TestHolderFit:
         fit = holder_fit(0.0, AMO, ALPHA, 0.31, (1e-4, 1e-1), 16)
         for e, im in zip(fit.eps, fit.im_M):
             assert im == m_triple(complex(0.0, e), AMO, ALPHA, 0.31).M.imag
-
-
-class TestL1WindowBound:
-    def test_single_site_reduces_to_window(self):
-        J = (-0.01, 0.01)
-        a = l1_window_bound({0: 1.0}, J, AMO, ALPHA, 0.3, 1e-9)
-        b = smoothed_window(0.0, 0.01, AMO, ALPHA, 0.3, 1e-9)
-        assert a == pytest.approx(b, rel=1e-9)
-
-    def test_two_site_structure(self):
-        J = (0.09, 0.11)
-        w0 = smoothed_window(0.1, 0.01, AMO, ALPHA, 0.2, 1e-9)
-        w1 = smoothed_window(0.1, 0.01, AMO, ALPHA, 0.2 + ALPHA, 1e-9)
-        got = l1_window_bound({0: 0.5, 1: 0.5}, J, AMO, ALPHA, 0.2, 1e-9)
-        assert got == pytest.approx((0.5 * math.sqrt(w0) + 0.5 * math.sqrt(w1)) ** 2,
-                                    rel=1e-9)
-
-    def test_sqrt_interval_scaling(self):
-        f = {0: 0.7, 1: 0.5, -2: 0.3}
-        norm1 = sum(abs(c) for c in f.values())
-        consts = []
-        for half in (0.02, 0.005, 0.00125):
-            b = l1_window_bound(f, (-half, half), AMO, ALPHA, 0.0, 1e-9)
-            consts.append(b / (math.sqrt(2 * half) * norm1 ** 2))
-        assert max(consts) / min(consts) < 50
-        assert max(consts) < 10
 
 
 class TestGaps:
@@ -322,6 +291,14 @@ class TestGaps:
             assert label_err < 1e-2
         plateaus = [g.n_plateau for g in gaps]
         assert plateaus == sorted(plateaus)
+
+    @pytest.mark.parametrize("grid", [np.linspace(3.2, -3.2, 641), np.array([-1.0, 0.0, 0.0, 1.0])],
+                             ids=["reversed", "repeated"])
+    def test_energies_must_increase(self, grid):
+        # a falling grid gave inverted gaps and never merged split plateaus
+        tab = ids(AMO, ALPHA, grid, "finite_box", size=400)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            gap_edges(tab)
 
     def test_refined_edge_equals_sequential(self, monkeypatch):
         # the left edge of the gap labelled alpha, as the 4000-site table finds it
