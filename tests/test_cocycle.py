@@ -291,6 +291,39 @@ class TestBlockedScan:
                 np.mean(want[-1]) / n, rel=1e-13)
 
 
+class TestScanPins:
+    """float.hex values of the companion-step scan's outputs, so a change
+    to how the scan steps or rescales shows as a moved bit, not as a drift
+    inside the 1e-12 of the sequential references above."""
+
+    def test_lyapunov_orbit_and_uniform_grids(self):
+        got = [lyapunov(E, v, ALPHA, 20000, 16, grid=grid).hex()
+               for v, E in ((Potential.amo(0.5), 0.7), (Potential.amo(2.0), 5.0))
+               for grid in ("orbit", "uniform")]
+        assert got == ["0x1.092ee2cf67d71p-2", "0x1.092eebc8fffd2p-2",
+                       "0x1.4dc6d73ebf8fep+0", "0x1.4dc6c5093f6d3p+0"]
+
+    def test_iterate_forward_and_backward(self):
+        got = {n: [t.hex() for t in (*m.ravel(), s)]
+               for n in (257, -257) for m, s in [iterate(1.7, Potential.amo(0.5), ALPHA, 0.3, n)]}
+        assert got == {
+            257: ["-0x1.47aace441d516p-5", "0x1.cecb88ab79a29p-8", "0x1.f7c94c880f30ap-1",
+                  "-0x1.63c5b3fe40bcep-3", "0x1.aebe2ea214614p+3"],
+            -257: ["-0x1.3084062aefd86p-4", "0x1.c6a945ec572bfp-1", "0x1.36216c9ce508fp-5",
+                   "-0x1.cf0b6709ed4b5p-2", "0x1.ae23707f07c07p+3"]}
+
+    def test_growth_profile_within_one_ulp(self):
+        # 3001 steps as 54 blocks of 56: entries 31 and 87 are steps where
+        # the in-block pass rescales, the rest lie between rescalings
+        log_sup = growth_profile(0.7, Potential.amo(0.5), ALPHA, 3001, 32, x0=0.11).log_sup
+        idx = [0, 31, 55, 56, 87, 1000, 3000]
+        want = np.array([float.fromhex(h) for h in (
+            "0x1.8a01e68f5c897p-1", "0x1.1fcdcbcf26be5p+3", "0x1.dff518348e618p+3",
+            "0x1.e2cd913ee1004p+3", "0x1.72718429ef48cp+4", "0x1.03cdf3fcd0aa2p+8",
+            "0x1.84ea289b44390p+9")])
+        assert np.all(np.abs(log_sup[idx] - want) <= np.spacing(want))
+
+
 class TestGrowthProfile:
     def test_free_rotation_bounded(self):
         gp = growth_profile(0.0, FREE, ALPHA, 500, 8)

@@ -183,6 +183,13 @@ class TestSturm:
         diag = orbit_diag(v, size, theta)
         assert np.array_equal(sturm_counts(diag, grid), sturm_counts_sequential(diag, grid))
 
+    def test_blocked_few_energy_counts_pinned(self):
+        # 7 energies over 50000 sites: 223 blocks of 225 sites, each block's
+        # starting pivot from the companion-step scan and its fold
+        diag = orbit_diag(AMO, 50000)
+        assert sturm_counts(diag, np.linspace(-2.4, 2.4, 7)).tolist() == [
+            0, 12575, 19098, 25000, 30901, 37426, 50000]
+
 
 class TestIds:
     def test_free_values(self):
