@@ -7,15 +7,21 @@ phases x + n alpha come from one sampler, ``orbit``, and are reduced
 mod 1; ``site_rows`` turns its phases at block starts by t alpha with a
 table, giving the potential row by row without a cosine per site.
 Ordered products A_n(x) = A(x+(n-1)alpha) ... A(x) come from one
-kernel, ``block_totals``, which rescales by powers of two every 32
-steps against overflow; every product-returning routine reports the
-accumulated log scale, so the exact product is exp(log_scale) * matrix.
-Matrices are plain 2x2 ndarrays.
+scan, ``companion_scan``, which multiplies the steps onto a (2, 2, ...)
+stack of matrices in place and rescales it by powers of two every 32
+steps against overflow, handing each step's running products and
+rescale exponents to its consumer: the block totals (``block_totals``)
+behind ``iterate``, the Sturm counts and the m-function walk, the
+in-block pass of the Lyapunov products, and the P-ladder's blocked
+pass.  Every product-returning routine reports the accumulated log
+scale, so the exact product is exp(log_scale) * matrix.  Matrices are
+plain 2x2 ndarrays, and stacks of them (2, 2, ...) ndarrays.
 
 The small algebra the other modules share is written here once: the
 Fourier mode sum and strip majorant of a mode table (``mode_sum``,
-``strip_majorant``), and the adjugate and power-of-two normaliser of
-stacks of 2x2 matrices (``adjugate``, ``normalize_stack``).
+``strip_majorant``), and the product, adjugate and power-of-two
+normaliser of stacks of 2x2 matrices (``stack_mul``, ``adjugate``,
+``normalize_stack``).
 """
 
 from __future__ import annotations
@@ -205,9 +211,9 @@ def iterate(z, v: Potential, alpha: float, x: float, n: int) -> tuple[np.ndarray
     if n < 0:
         m, log_scale = iterate(z, v, alpha, x + n * alpha, -n)
         return adjugate(m), log_scale
-    a, b, c, d, ex = block_totals(z.real - v(orbit(x, alpha, 0, n)), ())
-    nrm = _norm(a, b, c, d)
-    return np.array([[a, b], [c, d]]) / nrm, float(ex * LN2 + np.log(nrm))
+    m, ex = block_totals(z.real - v(orbit(x, alpha, 0, n)), ())
+    nrm = _norm(m)
+    return m / nrm, float(ex * LN2 + np.log(nrm))
 
 
 def _phase_batch(x0: float, alpha: float, count: int, grid: str) -> np.ndarray:
@@ -229,58 +235,72 @@ def block_count(n: int, width: int) -> int:
     return max(1, min(math.isqrt(n), 2**12 // max(width, 1)))
 
 
-def block_totals(rows, shape, dtype=float, every=RESCALE_EVERY):
-    """Products T_S ... T_1 of companion steps T_t = [[e_t, -1], [1, 0]],
-    one per block, all blocks at once.
+def companion_scan(rows, x, every=RESCALE_EVERY):
+    """Multiply the companion steps T_t = [[e_t, -1], [1, 0]] onto the
+    (2, 2, ...) stack x, in place: the one step loop of the package.
 
-    ``rows`` yields the step values e_1, ..., e_S one at a time, each an
-    array of ``shape`` holding that step of every block (so no caller
-    builds the whole S x blocks table); ``dtype`` is float for real
-    energies, complex off the real axis.  Every ``every`` steps the
-    running products are scaled by a power of two, which is exact: the
-    interval changes exponents, never mantissas, so a caller may shorten
-    it where |e_t| is large enough to overflow 32 unscaled steps.
-    Returns (a, b, c, d, ex): the totals are 2**ex [[a, b], [c, d]].
-    """
-    a, b = np.ones(shape, dtype), np.zeros(shape, dtype)
-    c, d = np.zeros(shape, dtype), np.ones(shape, dtype)
-    ex = np.zeros(shape, dtype=np.int64)
-    tmp = np.empty(shape, dtype)
+    ``rows`` yields the step values e_1, e_2, ... one at a time, each an
+    array that broadcasts to x[0, 0] (one value per matrix of the stack).
+    After step t the generator yields (x_t, k): the running products
+    T_t ... T_1 x as a (2, 2, ...) view of x's memory, and the exponents
+    k of the ``normalize_stack`` rescale that step made (every ``every``
+    steps), else None; so the exact products are 2**(sum of k) x_t.  The
+    rescale is exact: the interval changes exponents, never mantissas, so
+    a caller may shorten it where |e_t| is large enough to overflow 32
+    unscaled steps.  Each step is four in-place ufunc calls, the new top
+    row written over the old bottom one, so the rows of x_t alternate
+    between x and x[::-1]."""
+    a, b, c, d = x[0, 0, ...], x[0, 1, ...], x[1, 0, ...], x[1, 1, ...]  # views, 0-d too
+    tmp = np.empty_like(a)
     for t, e in enumerate(rows):
-        # [[a, b], [c, d]] <- [[e a - c, e b - d], [a, b]], the new top row
-        # written over the old bottom one
+        # [[a, b], [c, d]] <- [[e a - c, e b - d], [a, b]]
         np.multiply(e, a, out=tmp)
         np.subtract(tmp, c, out=c)
         np.multiply(e, b, out=tmp)
         np.subtract(tmp, d, out=d)
         a, b, c, d = c, d, a, b
-        if t % every == every - 1:
-            k = _max_exponent(a, b, c, d)
-            scale = np.ldexp(1.0, -k)
-            for m in (a, b, c, d):
-                np.multiply(m, scale, out=m)
+        x = x[::-1]
+        yield x, (normalize_stack(x) if t % every == every - 1 else None)
+
+
+def block_totals(rows, shape, dtype=float, every=RESCALE_EVERY):
+    """Products T_S ... T_1 of companion steps, one per block, all blocks
+    at once: ``companion_scan`` from the identity over the step values
+    ``rows`` (each an array of ``shape``, that step of every block, so no
+    caller builds the whole S x blocks table).  ``dtype`` is float for
+    real energies, complex off the real axis.  Returns (x, ex): the
+    totals are 2**ex x, x a (2, 2, *shape) stack."""
+    x = np.zeros((2, 2) + shape, dtype)
+    x[0, 0] = x[1, 1] = 1.0
+    ex = np.zeros(shape, dtype=np.int64)
+    for x, k in companion_scan(rows, x, every):
+        if k is not None:
             ex += k
-    return a, b, c, d, ex
+    return x, ex
 
 
-def block_starts(ta, tb, tc, td, tex):
-    """The sequential fold of block totals 2**tex [[ta, tb], [tc, td]]
-    (block index first, as ``block_totals`` returns them) into the
-    product at the start of every block: I for block 0, and total_i
-    times start_i for block i + 1.  Returns (a, b, c, d, sx), one block
-    longer than the totals, the starts being 2**sx [[a, b], [c, d]];
-    each start is rescaled by a power of two (exact), so its largest
-    entry lies in [0.5, 1).  The products run on the stacked entries,
-    so a block costs a few numpy calls: over narrow lanes (a Sturm count
-    at one energy) the calls, not the arithmetic, are the cost."""
-    t = np.array([[ta, tb], [tc, td]])
-    m = np.empty((len(ta) + 1, 2, 2) + ta.shape[1:], ta.dtype)
-    m[0] = np.eye(2).reshape((2, 2) + (1,) * (ta.ndim - 1))
-    sx = np.zeros((len(ta) + 1,) + ta.shape[1:], dtype=np.int64)
-    for i in range(len(ta)):
-        m[i + 1] = t[:, 0, i, None] * m[i, 0] + t[:, 1, i, None] * m[i, 1]
+def block_starts(t, tex):
+    """The sequential fold of block totals 2**tex t (a (2, 2, blocks, ...)
+    stack, as ``block_totals`` returns it) into the product at the start
+    of every block: I for block 0, and total_i times start_i for block
+    i + 1.  Returns (x, sx), one block longer than the totals, the starts
+    being 2**sx x; each start is rescaled by a power of two (exact), so
+    its largest entry lies in [0.5, 1).  A block costs a few numpy calls:
+    over narrow lanes (a Sturm count at one energy) the calls, not the
+    arithmetic, are the cost."""
+    t = np.moveaxis(t, 2, 0)  # block index first, here and in m
+    m = np.empty((len(t) + 1,) + t.shape[1:], t.dtype)
+    m[0] = np.eye(2).reshape((2, 2) + (1,) * (t.ndim - 3))
+    sx = np.zeros((len(m),) + t.shape[3:], dtype=np.int64)
+    for i in range(len(t)):
+        m[i + 1] = stack_mul(t[i], m[i])
         sx[i + 1] = sx[i] + tex[i] + normalize_stack(m[i + 1])
-    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], sx
+    return np.moveaxis(m, 0, 2), sx
+
+
+def stack_mul(left, right):
+    """Products left @ right of (2, 2, ...) stacks of matrices."""
+    return left[:, 0, None] * right[0] + left[:, 1, None] * right[1]
 
 
 def normalize_stack(x):
@@ -302,18 +322,12 @@ def adjugate(m):
     return adj
 
 
-def _max_exponent(a, b, c, d):
-    """Elementwise binary exponent k of max(|a|, |b|, |c|, |d|), so that
-    scaling by 2**-k (exact) brings the largest into [0.5, 1)."""
-    return np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                               np.maximum(np.abs(c), np.abs(d))))[1]
-
-
-def _norm(a, b, c, d):
-    """Operator 2-norm of [[a, b], [c, d]] (real entries), from
-    sigma_max = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2: a sum of
-    non-negative terms, where the trace/determinant formula cancels for
-    norms near 1."""
+def _norm(x):
+    """Operator 2-norms of the real (2, 2, ...) stack x = [[a, b], [c, d]],
+    from sigma_max = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2: a
+    sum of non-negative terms, where the trace/determinant formula
+    cancels for norms near 1."""
+    (a, b), (c, d) = x
     return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
 
 
@@ -330,9 +344,10 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
 
     1. the totals of the B - 1 full blocks (``block_totals``);
     2. their fold into every block's starting product (``block_starts``);
-    3. from those starts, the products inside the blocks: all B blocks,
-       with the norm of every prefix, for keep_all; otherwise only the
-       last block, whose end is A_n.
+    3. from those starts, the products inside the blocks
+       (``companion_scan``): all B blocks, with the norm of every
+       prefix, for keep_all; otherwise only the last block, whose end is
+       A_n.
 
     Every rescaling is by a power of two, so the grouping of the products
     is the only difference from a step-by-step loop, and the results agree
@@ -351,25 +366,23 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # 1-2. block totals, folded into block starts
-        a, b, c, d, sx = block_starts(*block_totals(rows(range(B - 1), S), (B - 1, P)))
+        x, sx = block_starts(*block_totals(rows(range(B - 1), S), (B - 1, P)))
         # 3. inside the blocks
         if keep_all:
             blocks, steps = range(B), S
             hist = np.empty((B, S, P))
         else:
             blocks, steps = range(B - 1, B), n - (B - 1) * S
-            a, b, c, d, sx = a[-1:], b[-1:], c[-1:], d[-1:], sx[-1:]
-        for t, e in enumerate(rows(blocks, steps)):
-            a, b, c, d = e * a - c, e * b - d, a, b
-            if keep_all:
-                hist[:, t] = sx * LN2 + np.log(_norm(a, b, c, d))
-            if t % RESCALE_EVERY == RESCALE_EVERY - 1:
-                k = _max_exponent(a, b, c, d)
-                a, b, c, d = np.ldexp(a, -k), np.ldexp(b, -k), np.ldexp(c, -k), np.ldexp(d, -k)
-                sx = sx + k
+            x, sx = x[:, :, -1:], sx[-1:]
+        for t, (x, k) in enumerate(companion_scan(rows(blocks, steps), x)):
+            if keep_all:  # each norm as it was before the step's rescale
+                nrm = _norm(x) if k is None else np.ldexp(_norm(x), k)
+                hist[:, t] = sx * LN2 + np.log(nrm)
+            if k is not None:
+                sx += k
     if keep_all:
         return hist.reshape(B * S, P)[:n]
-    return (sx * LN2 + np.log(_norm(a, b, c, d)))[0]
+    return (sx * LN2 + np.log(_norm(x)))[0]
 
 
 def lyapunov(E: float, v: Potential, alpha: float, n: int, x_grid: int,

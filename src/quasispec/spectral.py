@@ -132,8 +132,8 @@ def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
 
     # 2. fold: the pivot is a / c of the block's starting product (inf, 1/0,
     # for block 0); the power-of-two scaling of the starts leaves it exact
-    a, _, c, _, _ = block_starts(*block_totals(rows(), e.shape))
-    g = -a / c
+    x, _ = block_starts(*block_totals(rows(), e.shape))
+    g = -x[0, 0] / x[1, 0]
     g[g == 0.0] = 1e-300  # d = 0 is nudged to -tiny
     g[g == np.inf] = -np.inf
     return g
@@ -141,19 +141,36 @@ def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IdsTable:
-    """Integrated density of states sampled on an energy grid."""
+    """Integrated density of states sampled on an energy grid.  Energies
+    that are not finite and strictly increasing raise ValueError: the
+    interpolation, gap search and Thouless integral all read the table
+    as a rising grid."""
 
     energies: np.ndarray
     N_values: np.ndarray
     method: str
     size: int
 
+    def __post_init__(self):
+        E = np.ravel(self.energies)
+        if not (np.all(np.isfinite(E)) and np.all(np.diff(E) > 0)):
+            raise ValueError("IdsTable energies must be finite and strictly increasing")
+
     def value(self, E: float) -> float:
         return float(np.interp(E, self.energies, self.N_values))
 
     @property
     def grid_step(self) -> float:
-        return float(np.min(np.diff(self.energies)))
+        """The smallest energy step; ValueError on a one-energy table."""
+        return float(np.min(np.diff(_two_or_more(self.energies))))
+
+
+def _two_or_more(energies: np.ndarray) -> np.ndarray:
+    """The energies of a table that gap search and the Thouless integral
+    can read: ValueError where there are fewer than two."""
+    if np.size(energies) < 2:
+        raise ValueError(f"needs an IDS table of at least two energies, got {np.size(energies)}")
+    return energies
 
 
 def ids(v: Potential, alpha: float, E_grid, method: str = "finite_box",
@@ -265,7 +282,7 @@ def thouless_check(E: float, v: Potential, alpha: float, ids_table: IdsTable,
     (t-E) ln|t-E| - t integrates the logarithmic singularity with no
     special-casing of the two cells adjacent to E.
     """
-    Es = ids_table.energies
+    Es = _two_or_more(ids_table.energies)
     Ns = ids_table.N_values
 
     def F(t):
@@ -273,11 +290,7 @@ def thouless_check(E: float, v: Potential, alpha: float, ids_table: IdsTable,
         out = np.where(u == 0.0, 0.0, u * np.log(np.maximum(np.abs(u), 1e-300)))
         return out - t
 
-    dN = np.diff(Ns)
-    dE = np.diff(Es)
-    good = dE > 0
-    rho = np.zeros_like(dN)
-    rho[good] = dN[good] / dE[good]
+    rho = np.diff(Ns) / np.diff(Es)
     integral = float(np.sum(rho * (F(Es[1:]) - F(Es[:-1]))))
     return ThoulessRecord(E=float(E), integral=integral, lyapunov=float(lyap_value),
                           residual=abs(integral - float(lyap_value)))
@@ -299,12 +312,11 @@ def gap_edges(ids_table: IdsTable, plateau_tol: float | None = None) -> list[Gap
     gap, each stepping the box IDS by 1/size and splitting the plateau;
     adjacent plateaus whose levels differ by at most 3/size and whose
     separation is at most 3 grid steps are merged back into one gap.
-    A table whose energies are not strictly increasing raises ValueError.
+    A one-energy table raises ValueError.
     """
     Es = ids_table.energies
     Ns = ids_table.N_values
-    if not np.all(np.diff(Es) > 0):
-        raise ValueError("gap_edges needs strictly increasing energies")
+    step = ids_table.grid_step
     if plateau_tol is None:
         plateau_tol = 0.5 / ids_table.size
     raw = []
@@ -322,7 +334,6 @@ def gap_edges(ids_table: IdsTable, plateau_tol: float | None = None) -> list[Gap
             raw.append((float(Es[i]), float(Es[j]), 0.5 * (lo + hi)))
         i = j + 1
     merged = []
-    step = ids_table.grid_step
     for rec in raw:
         if merged and rec[0] - merged[-1][1] <= 3 * step \
                 and abs(rec[2] - merged[-1][2]) <= 3.0 / ids_table.size:

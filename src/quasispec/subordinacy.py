@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (LN2, RESCALE_EVERY, Potential, normalize_stack, orbit,
-                      solution_norm_sq_batch)
+from .cocycle import LN2, Potential, companion_scan, orbit, solution_norm_sq_batch
 from .weyl import DEPTH_CAP_DEFAULT, m_plus_lanes, psi, rotate_beta
 
 JL_UPPER = 5.0 + math.sqrt(24.0)
@@ -130,7 +129,8 @@ def _eps(log_det: float) -> float:
 
 def _blocked_pass(E: float, v: Potential, alpha: float, x: float, j0: int, J: int, marks):
     """Steps j0 + 1 .. j0 + J of the ladder as B blocks of S ~ sqrt(J)
-    steps, vectorised across blocks, each from the identity.
+    steps, vectorised across blocks, each from the identity: one
+    ``companion_scan`` over the blocks' products Phi.
 
     Returns (S, totals, snap): the fold input (Phi, W, C, s and the scale
     exponent, see ``_fold``) of every block, and of each block cut short
@@ -148,37 +148,32 @@ def _blocked_pass(E: float, v: Potential, alpha: float, x: float, j0: int, J: in
     want: dict[int, list] = {}
     for l in marks:
         want.setdefault((l - 1) % S, []).append(l)
-    rows = np.zeros((2, 2, B))  # the rows of Phi: rows[0] = (a, b), rows[1] = (c, d)
-    rows[0, 0] = rows[1, 1] = 1.0
+    phi = np.zeros((2, 2, B))
+    phi[0, 0] = phi[1, 1] = 1.0
     w = np.zeros((3, B))  # (w11, w12, w22)
     sq = np.empty((3, B))
     c11, c12, c22, s = np.zeros(B), np.zeros(B), np.zeros(B), np.zeros(B)
     unit = np.ones(B)  # e2 e2^T in units of 4**ex
     ex = np.zeros(B, dtype=np.int64)
-    top, bot = rows
     snap = {}
 
     def values():
         """Every block's Phi, W, C and s, as an (11, B) array."""
-        return np.vstack((top, bot, w, c11, c12, c22, s))
+        return np.vstack((*phi, w, c11, c12, c22, s))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, e in enumerate(steps):
-            # Phi <- T Phi: the new top row e (a, b) - (c, d) over the old bottom one
-            np.multiply(e, top, out=sq[:2])
-            np.subtract(sq[:2], bot, out=bot)
-            top, bot = bot, top
+        for t, (e, (phi, g)) in enumerate(zip(steps, companion_scan(steps, phi))):
+            if g is not None:  # Phi was rescaled by 2**-g: W, C, s and e2 e2^T by 4**-g
+                for m in (w, c11, c12, c22, s, unit):
+                    np.ldexp(m, -2 * g, out=m)
+                ex += g
             u = e * c11 - c12  # C <- T (C + e2 e2^T) T^T
             c11, c12, c22 = e * (u - c12) + c22 + unit, u, c11
+            top = phi[0]
             np.multiply(top, top[0], out=sq[:2])
             np.multiply(top[1], top[1], out=sq[2])
             w += sq
             s += c11
-            if t % RESCALE_EVERY == RESCALE_EVERY - 1:
-                g = normalize_stack(rows)
-                for m in (w, c11, c12, c22, s, unit):
-                    np.ldexp(m, -2 * g, out=m)
-                ex += g
             for l in want.get(t, ()):
                 i = (l - 1) // S
                 snap[l] = (*values()[:, i].tolist(), int(ex[i]))
@@ -207,8 +202,9 @@ def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks,
     The steps, their site energies sampled ``_SITES`` at a time, run as
     blocks of S ~ sqrt(J) steps (``_blocked_pass``).  A block carries its
     product Phi, W = sum_t r_t^T r_t over the top rows r_t of its partial
-    products Phi_t, C (the M recurrence from 0) and s = sum_t (C_t)_11,
-    all rescaled by powers of two every ``RESCALE_EVERY`` steps.  A scalar
+    products Phi_t, C (the M recurrence from 0) and s = sum_t (C_t)_11.
+    Phi comes from ``cocycle.companion_scan``; where the scan rescales
+    Phi by 2**-g, W, C and s are rescaled by 4**-g, exactly.  A scalar
     fold over the blocks (``_fold``) then applies P += A^T W A,
     det += <M, W> + s, M <- Phi M Phi^T + C and A <- Phi A; each
     requested k is one more fold step, from the start of its block, with

@@ -25,8 +25,10 @@ near n = 2**21), and a row adds at most 1e-14 to the error of its
 sub-block's start.  The N steps are the Moebius action of the product
 of the step matrices [[0, -1], [1, z - v_n]], which is [[d, b], [c, a]]
 for the companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n =
-[[z - v_n, -1], [1, 0]]: the same 2x2 kernel, ``cocycle.block_totals``,
-as the Sturm counts, the Lyapunov products and ``iterate``.
+[[z - v_n, -1], [1, 0]]: the same scan, ``cocycle.companion_scan``
+behind ``cocycle.block_totals``, as the Sturm counts, the Lyapunov
+products, ``iterate`` and the P-ladder, and its (2, 2, lanes,
+sub-blocks) stacks are multiplied out with ``cocycle.stack_mul``.
 
 One walk serves many z ("lanes", ``m_plus_lanes``): ``subordinacy.profile``
 runs every kept eps_k of a ladder in it, and ``_m_triples`` (behind
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (RESCALE_EVERY, Potential, block_totals, normalize_stack, orbit,
-                      site_rows)
+                      site_rows, stack_mul)
 
 DEPTH_CAP_DEFAULT = 10**7
 _ROW = 1 << 12  # lane x sub-block values per scan step: one 64 KB buffer of step values
@@ -129,11 +131,6 @@ def M_function(m_plus_val: complex, m_minus_val: complex) -> complex:
     return out
 
 
-def _mul(left, right):
-    """Products left @ right of (2, 2, ...) stacks of matrices."""
-    return left[:, :1] * right[:1] + left[:, 1:] * right[1:]
-
-
 def _fold(x):
     """Pairwise product of the normalised (2, 2, ..., n) stack of matrices
     X_0, ..., X_{n-1}, later ones on the left, one level at a time.
@@ -149,7 +146,7 @@ def _fold(x):
     firsts = [x[..., 0].copy()]
     while x.shape[-1] > 1:
         n = x.shape[-1] & ~1
-        level = _mul(x[..., 1:n:2], x[..., 0:n:2])
+        level = stack_mul(x[..., 1:n:2], x[..., 0:n:2])
         if n < x.shape[-1]:  # the unpaired last matrix moves up unchanged
             level = np.concatenate((level, x[..., n:]), axis=-1)
         if len(firsts) % 4 == 0 or level.shape[-1] == 1:
@@ -221,9 +218,7 @@ def _block_products(zs, v, theta, alpha, every: int, lo: int, hi: int):
         else:
             vals = np.ascontiguousarray(
                 v(orbit(theta, alpha, first, first + count * steps)).reshape(count, steps).T)
-        a, b, c, d, _ = block_totals(_step_values(zs, vals, count), (len(zs), count),
-                                     complex, every)
-        x = np.array([[a, b], [c, d]])
+        x, _ = block_totals(_step_values(zs, vals, count), (len(zs), count), complex, every)
         normalize_stack(x)
         return x
 
@@ -247,8 +242,8 @@ def _halfline_m(zs, v, theta, alpha, tol, depth_cap):
     """Backward coefficient-stripping recursion with two-seed control,
     for every lane z in ``zs`` along one walk of the sites n = 1, 2, ...
     with potential v(theta + n alpha).  All lanes share the depth
-    schedule 64, 128, ..., ``depth_cap``; each retires at the first depth
-    where its seeds agree.
+    schedule 64, 128, ..., ``depth_cap`` (the one depth ``depth_cap`` when
+    it is below 64); each retires at the first depth where its seeds agree.
     The first walk reaches about the depth the deepest lane needs, up to
     ``_FIRST``, and its depths are checked on the prefix nodes of one
     fold, which are bit for bit the products the doubling would form.
@@ -270,7 +265,8 @@ def _halfline_m(zs, v, theta, alpha, tol, depth_cap):
     # x = T_done ... T_1 of each live lane as a (2, 2, lanes) stack; in the
     # orientation of the Moebius recursion it is [[d, b], [c, a]]
     x = None
-    done, depth = 0, 64
+    done = 0
+    first = depth = min(64, depth_cap)
     # the first fold reaches about the depth the deepest lane needs, ~ln(1/tol) / Im z:
     # up to _FIRST, a walk too deep costs less than one more walk
     reach = min(_FIRST, depth_cap, -math.log(tol) / zs.imag.min()) if len(zs) else 0
@@ -281,12 +277,12 @@ def _halfline_m(zs, v, theta, alpha, tol, depth_cap):
         while len(live):
             sizes, nodes = _block_products(zs[live], v, theta, alpha, every, done + 1,
                                            depth + 1)
-            if x is None:  # checks at 64, 128, ..., depth
-                depths = sizes[sizes >= 64]
+            if x is None:  # checks at 64, 128, ..., depth (or at a cap below 64)
+                depths = sizes[sizes >= first]
                 xs = np.stack(nodes[-len(depths):], axis=2)
             else:
                 depths = np.array([depth])
-                xs = _mul(nodes[-1], x)[:, :, None]
+                xs = stack_mul(nodes[-1], x)[:, :, None]
                 normalize_stack(xs)
             (a, b), (c, d) = xs
             m1 = (d * 1j + b) / (c * 1j + a)

@@ -195,7 +195,11 @@ class TestExitCodes:
          "eps,re_m_plus,im_m_plus,re_M,im_M,est_error,depth"),
         (["subordinacy", "--lambda", "2", "--e", "0.1", "--k-max", "1000"],
          "k,norm_P,det_P,eps_k,psi_mplus,ratio_jl,ratio_blabl"),
-    ], ids=["mfunction", "subordinacy"])
+        # a cap below 64 was ignored: both rows settled at depth 64, exit 0
+        *[(["mfunction", "--e", "0.1", "--eps-min", "0.3", "--eps-max", "0.9", "--points", "2",
+            "--depth-cap", cap], "eps,re_m_plus,im_m_plus,re_M,im_M,est_error,depth")
+          for cap in ("10", "40")],
+    ], ids=["mfunction", "subordinacy", "mfunction-depth-cap-10", "mfunction-depth-cap-40"])
     def test_numerical_failure_leaves_the_completed_rows(self, tmp_path, argv, header):
         # the rows of both come from one walk, so none is complete: the
         # data file is the header alone

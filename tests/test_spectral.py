@@ -215,6 +215,16 @@ class TestIds:
         with pytest.raises(ValueError):
             ids(FREE, ALPHA, np.array([0.0]), size=50)
 
+    @pytest.mark.parametrize("grid", [np.linspace(7.0, -7.0, 1401), np.array([-1.0, 0.0, 0.0, 1.0]),
+                                      np.array([-1.0, np.nan, 1.0]), np.array([-1.0, np.inf])],
+                             ids=["falling", "repeated", "nan", "inf"])
+    @pytest.mark.parametrize("method", ["finite_box", "phase_average"])
+    def test_grid_must_rise(self, grid, method):
+        # a falling grid gave IdsTable.value(0.0) = 0.0 for AMO lambda = 2,
+        # where the rising grid reads 0.499
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            ids(Potential.amo(2.0), ALPHA, grid, method, size=100, phases=2)
+
     def test_phases_validation(self):
         for phases in (0, -1):
             with pytest.raises(ValueError, match="phases must be >= 1"):
@@ -242,6 +252,13 @@ class TestThouless:
         rec = thouless_check(0.0, v, ALPHA, tab, L)
         assert rec.integral == pytest.approx(math.log(2), abs=0.05)
         assert rec.residual < 0.05
+
+
+    def test_one_energy_table_is_rejected(self):
+        # the integral over no cell read 0.0, with no error
+        tab = ids(AMO, ALPHA, np.array([0.0]), size=1000)
+        with pytest.raises(ValueError, match="at least two energies"):
+            thouless_check(0.0, AMO, ALPHA, tab, 0.0)
 
 
 class TestHolderFit:
@@ -302,9 +319,15 @@ class TestGaps:
     @pytest.mark.parametrize("grid", [np.linspace(3.2, -3.2, 641), np.array([-1.0, 0.0, 0.0, 1.0])],
                              ids=["reversed", "repeated"])
     def test_energies_must_increase(self, grid):
-        # a falling grid gave inverted gaps and never merged split plateaus
-        tab = ids(AMO, ALPHA, grid, "finite_box", size=400)
+        # a falling grid gave inverted gaps and never merged split plateaus;
+        # the table itself now refuses such a grid
         with pytest.raises(ValueError, match="strictly increasing"):
+            gap_edges(ids(AMO, ALPHA, grid, "finite_box", size=400))
+
+    def test_one_energy_table_is_rejected(self):
+        # numpy's "zero-size array to reduction operation" named no cause
+        tab = ids(AMO, ALPHA, np.array([0.0]), size=1000)
+        with pytest.raises(ValueError, match="at least two energies"):
             gap_edges(tab)
 
     def test_refined_edge_equals_sequential(self, monkeypatch):

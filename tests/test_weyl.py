@@ -262,6 +262,18 @@ class TestErrors:
             m_plus(complex(0.0, 1e-7), Potential.amo(0.5), ALPHA, 0.0, 1e-12,
                    depth_cap=2000)
 
+    @pytest.mark.parametrize("cap", [10, 40])
+    def test_depth_cap_below_64_raises(self, cap):
+        # the walk started at depth 64 whatever the cap, and settled there
+        with pytest.raises(NoConvergence, match=f"within depth cap {cap} "):
+            m_plus(complex(0.1, 0.3), Potential.amo(0.5), ALPHA, 0.0, depth_cap=cap)
+
+    def test_depth_cap_below_64_bounds_the_depth(self):
+        m, est, depth = m_plus(complex(0.1, 0.5), Potential.amo(0.5), ALPHA, 0.0,
+                               depth_cap=63, full_output=True)
+        assert depth == 63 and est <= 1e-8
+        assert abs(m - m_plus(complex(0.1, 0.5), Potential.amo(0.5), ALPHA, 0.0)) <= 1e-8
+
     def test_non_finite_z_rejected(self):
         for z in (complex(math.nan, 1e-3), complex(0.2, math.inf)):
             with pytest.raises(ValueError):
