@@ -307,8 +307,9 @@ def normalize_stack(x):
     """Scale each matrix of the (2, 2, ...) stack x, in place, by the power
     of two that brings its max-abs entry into [0.5, 1): exact, and
     invisible to a Moebius action.  Returns the exponents k, so the
-    matrices were 2**k times the scaled ones."""
-    k = np.frexp(np.abs(x).max(axis=(0, 1)))[1]
+    matrices were 2**k times the scaled ones.  The max-abs is taken row by
+    row, so its temporary is half the stack's size, not all of it."""
+    k = np.frexp(np.maximum(np.abs(x[0]).max(axis=0), np.abs(x[1]).max(axis=0)))[1]
     x *= np.ldexp(1.0, -k)
     return k
 
