@@ -252,6 +252,8 @@ def companion_scan(rows, x, every=RESCALE_EVERY):
     between x and x[::-1]."""
     a, b, c, d = x[0, 0, ...], x[0, 1, ...], x[1, 0, ...], x[1, 1, ...]  # views, 0-d too
     tmp = np.empty_like(a)
+    # x_t at even and odd t, sliced once: a slice a step costs ~7% on narrow stacks
+    flips = (x[::-1], x)
     for t, e in enumerate(rows):
         # [[a, b], [c, d]] <- [[e a - c, e b - d], [a, b]]
         np.multiply(e, a, out=tmp)
@@ -259,7 +261,7 @@ def companion_scan(rows, x, every=RESCALE_EVERY):
         np.multiply(e, b, out=tmp)
         np.subtract(tmp, d, out=d)
         a, b, c, d = c, d, a, b
-        x = x[::-1]
+        x = flips[t & 1]
         yield x, (normalize_stack(x) if t % every == every - 1 else None)
 
 
