@@ -11,9 +11,10 @@ scan, ``companion_scan``, which multiplies the steps onto a (2, 2, ...)
 stack of matrices in place and rescales it by powers of two every 32
 steps against overflow, handing each step's running products and
 rescale exponents to its consumer: the block totals (``block_totals``)
-behind ``iterate``, the Sturm counts and the m-function walk, the
-in-block pass of the Lyapunov products, and the P-ladder's blocked
-pass.  Every product-returning routine reports the accumulated log
+behind ``iterate`` and the m-function walk, the block starts
+(``block_starts``, totals folded by a log-depth prefix product) behind
+the Sturm counts and the Lyapunov products, the in-block pass of the
+Lyapunov products, and the P-ladder's blocked pass.  Every product-returning routine reports the accumulated log
 scale, so the exact product is exp(log_scale) * matrix.  Matrices are
 plain 2x2 ndarrays, and stacks of them (2, 2, ...) ndarrays.
 
@@ -226,9 +227,9 @@ def _phase_batch(x0: float, alpha: float, count: int, grid: str) -> np.ndarray:
 
 def block_count(n: int, width: int) -> int:
     """Blocks for a two-level scan of n sequential steps over ``width``
-    independent lanes: about sqrt(n), so both the in-block and the fold
-    loops are ~sqrt(n) long, capped so one step of every block touches at
-    most 2**12 values.  1 when the cap leaves no room for more: a step
+    independent lanes: about sqrt(n), so the in-block loops are ~sqrt(n)
+    long (the fold over the blocks, ``block_starts``, is log-depth),
+    capped so one step of every block touches at most 2**12 values.  1 when the cap leaves no room for more: a step
     over that many values already costs far more than its Python
     overhead, so blocking would only add the block-total pass.  (A 2**14
     cap measured no faster and held up to 1 MB more in temporaries.)"""
@@ -281,28 +282,59 @@ def block_totals(rows, shape, dtype=float, every=RESCALE_EVERY):
     return x, ex
 
 
-def block_starts(t, tex):
-    """The sequential fold of block totals 2**tex t (a (2, 2, blocks, ...)
-    stack, as ``block_totals`` returns it) into the product at the start
-    of every block: I for block 0, and total_i times start_i for block
-    i + 1.  Returns (x, sx), one block longer than the totals, the starts
-    being 2**sx x; each start is rescaled by a power of two (exact), so
-    its largest entry lies in [0.5, 1).  A block costs a few numpy calls:
-    over narrow lanes (a Sturm count at one energy) the calls, not the
-    arithmetic, are the cost."""
-    t = np.moveaxis(t, 2, 0)  # block index first, here and in m
-    m = np.empty((len(t) + 1,) + t.shape[1:], t.dtype)
-    m[0] = np.eye(2).reshape((2, 2) + (1,) * (t.ndim - 3))
-    sx = np.zeros((len(m),) + t.shape[3:], dtype=np.int64)
-    for i in range(len(t)):
-        m[i + 1] = stack_mul(t[i], m[i])
-        sx[i + 1] = sx[i] + tex[i] + normalize_stack(m[i + 1])
-    return np.moveaxis(m, 0, 2), sx
+def block_starts(rows, shape):
+    """The products of companion steps at the start of every block, all
+    blocks at once: I for block 0, and total_i ... total_0 for block
+    i + 1, where total_i is the product of block i's steps.  ``rows``
+    yields the step values as ``block_totals`` reads them (each an array
+    of ``shape``, blocks first), and the totals are formed in place in
+    the slots of blocks 1 .. B, so no stack is copied.  Returns (x, sx),
+    one block longer than the totals, the starts being 2**sx x; every
+    matrix is rescaled by a power of two (exact) after each product, so
+    its largest entry lies in [0.5, 1).
+
+    The fold is a log-depth prefix product (Brent and Kung's): an
+    up-sweep multiplies partial products 1, 2, 4, ... blocks apart, and a
+    down-sweep fills in the starts between them, so about 2 log2(blocks)
+    vectorised levels of ``stack_mul`` and ``normalize_stack`` replace a
+    few numpy calls per block, and no temporary of a level holds more
+    than half the stack.  Each start is a product of the same totals as a
+    sequential fold's, grouped differently, so the two agree to
+    rounding."""
+    B = shape[0]
+    x = np.zeros((2, 2, B + 1) + shape[1:])
+    x[0, 0, 1:] = x[1, 1, 1:] = 1.0
+    sx = np.zeros((B + 1,) + shape[1:], dtype=np.int64)
+    p, ps = x[:, :, 1:], sx[1:]  # p[i] is total_i, then total_i ... total_0
+    for p, k in companion_scan(rows, p):
+        if k is not None:
+            ps += k
+    if p.strides[0] < 0:  # the scan ended with the rows swapped in memory
+        x = x[::-1]
+    x[0, 0, 0] = x[1, 1, 0] = 1.0
+    ps += normalize_stack(p)
+
+    def level(j, d):  # p[i] <- p[i] p[i - d] for i = j, j + 2d, ...
+        n = len(range(j, B, 2 * d))
+        left, right = p[:, :, j::2 * d], p[:, :, j - d:j - d + 2 * d * n:2 * d]
+        left[...] = stack_mul(left, right)
+        ps[j::2 * d] += ps[j - d:j - d + 2 * d * n:2 * d] + normalize_stack(left)
+
+    d = 1
+    while 2 * d <= B:  # up-sweep: p[i], i = -1 mod 2d, spans blocks i-2d+1 .. i
+        level(2 * d - 1, d)
+        d *= 2
+    while d > 1:  # down-sweep: p[i], i = d-1 mod 2d, takes the start p[i-d]
+        d //= 2
+        level(3 * d - 1, d)
+    return x, sx
 
 
 def stack_mul(left, right):
     """Products left @ right of (2, 2, ...) stacks of matrices."""
-    return left[:, 0, None] * right[0] + left[:, 1, None] * right[1]
+    out = left[:, 0, None] * right[0]
+    out += left[:, 1, None] * right[1]
+    return out
 
 
 def normalize_stack(x):
@@ -346,7 +378,8 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
     row (one step of every block), never once per step:
 
     1. the totals of the B - 1 full blocks (``block_totals``);
-    2. their fold into every block's starting product (``block_starts``);
+    2. their log-depth prefix product, every block's starting product
+       (``block_starts``, which forms the totals of pass 1 in place);
     3. from those starts, the products inside the blocks
        (``companion_scan``): all B blocks, with the norm of every
        prefix, for keep_all; otherwise only the last block, whose end is
@@ -369,7 +402,7 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # 1-2. block totals, folded into block starts
-        x, sx = block_starts(*block_totals(rows(range(B - 1), S), (B - 1, P)))
+        x, sx = block_starts(rows(range(B - 1), S), (B - 1, P))
         # 3. inside the blocks
         if keep_all:
             blocks, steps = range(B), S
@@ -395,8 +428,8 @@ def lyapunov(E: float, v: Potential, alpha: float, n: int, x_grid: int,
     The default grid is the Birkhoff orbit x_j = x0 + j*alpha mod 1;
     pass grid='uniform' for an equispaced grid.  The products A_n(x) of
     all phases come from one blocked scan (``_batched_log_norms``): about
-    3 sqrt(n) vectorised steps, each sampling the potential once for all
-    blocks and phases.  The reduction order is fixed, so results are
+    2 sqrt(n) vectorised steps, each sampling the potential once for all
+    blocks and phases, and a log-depth fold between them.  The reduction order is fixed, so results are
     deterministic for a given grid specification.
     """
     if n < 1 or x_grid < 1:

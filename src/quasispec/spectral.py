@@ -7,11 +7,15 @@ scaling of Im M and never claims pointwise measure values.  Finite-box
 IDS, spectrum membership and gap-edge refinement use Sturm-sequence
 eigenvalue counting on the symmetric tridiagonal truncation, O(size)
 work per energy, run as a blocked scan over sites x energies: the pivot
-maps of ~sqrt(size) blocks are folded into each block's starting pivot,
-then the pivot recurrence runs inside all blocks at once
-(``sturm_counts``); energies outside the Gershgorin interval of the box
-are counted without a scan.  Counting pivots is the discrete form of the
-rotation-number view of the IDS.
+maps of up to size / 16 blocks are folded into each block's starting
+pivot by a log-depth prefix product, then the pivot recurrence runs
+inside all blocks at once (``sturm_counts``).  Only energies whose count
+is not already known are scanned: those outside the Gershgorin interval
+of the box are counted without a scan, and on a rising grid those
+between two equal counts take that count (the count never decreases in
+E); an edge search scans only the bracket where the count reaches its
+target.  Counting pivots is the discrete form of the rotation-number
+view of the IDS.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Potential, block_count, block_starts, block_totals, orbit
+from .cocycle import Potential, block_starts, orbit
 from .weyl import DEPTH_CAP_DEFAULT, _m_triples
 
 
@@ -39,40 +43,49 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     Gershgorin trim: where fl(min a - E) >= 2, every pivot is >= 1 in
     floating point too (rounding is monotone, and 1/d_{j-1} <= 1), so the
     count is 0 with no scan; where fl(max a - E) <= -2, every pivot is
-    <= -1 and the count is N.  Only the other energies are scanned, on
-    the blocks the whole grid would get, so each of them runs the same
-    arithmetic whatever the rest of the grid holds.  A NaN in the
-    diagonal makes both tests false, and nothing is trimmed.
+    <= -1 and the count is N.  A NaN in the diagonal makes both tests
+    false, and nothing is trimmed.
 
-    The N sites run as a two-level blocked scan over
-    B = min(isqrt(N), 2**12 // len(E)) blocks of S = ceil(N / B) sites
-    (``cocycle.block_count``, len(E) the size of the whole grid), so no
-    Python loop is longer than about sqrt(N) and one step of every block
+    Pinning: the count never decreases in E, so where more than 128
+    energies are left and they strictly rise, every 32nd of them and the
+    last are counted first, and an energy strictly between two of these
+    with equal counts takes that count with no scan; only the energies
+    of intervals whose counts differ are scanned.  Falling, repeated or
+    NaN energies, and short grids, are all scanned.
+
+    Each scan (``_pivot_scan``) is a two-level blocked scan over B blocks
+    of S = ceil(N / B) sites, B about min(N / 16, 2**12 / len(E)) for the
+    len(E) energies of that scan, and 1 where that is below 8 (the block
+    passes then cost more than they save).  So a scan of a few energies
+    has Python loops of a few dozen steps, and one step of every block
     touches at most 2**12 values:
 
     1. the pivot map of each block is a Moebius map, the product of its
        companion steps [[a_j - E, -1], [1, 0]] (``cocycle.block_totals``);
-    2. their fold over the blocks (``cocycle.block_starts``) gives each
-       block's starting pivot, a / c of its starting product, the first
-       block starting at inf;
+    2. their log-depth prefix product (``cocycle.block_starts``) gives
+       each block's starting pivot, a / c of its starting product, the
+       first block starting at inf;
     3. the recurrence runs inside all blocks at once from those starts,
        on the negated pivots g_j = -d_j = -1/g_{j-1} - (a_j - E), and
        counts the sites with g_j >= 0.  A zero pivot comes out as g = +0
        and counts; its reciprocal -inf gives the next two sites the signs
        that nudging it to -tiny would, so zero pivots take no extra pass.
 
-    When B = 1 (more than 2**11 energies, as in the IDS tables, or a
-    diagonal with an infinite entry), passes 1-2 are empty and pass 3 is
-    the plain site loop.
+    When B = 1 (more than 2**11 energies, or a diagonal with an infinite
+    entry), passes 1-2 are empty and pass 3 is the plain site loop.
 
     Exactness: a block's starting pivot is the pivot d_j of the previous
-    block's last site j, computed by the fold instead of the site loop.
-    Its sign is what counts for site j, and the block's pivots follow
-    from it, so an error in it acts like a perturbation of the single
-    diagonal entry a_j: the count is the exact count of a box with a few
-    diagonal entries off by rounding, and it can differ from the site
-    loop's only when E lies within rounding of an eigenvalue of the whole
-    box, where the count is decided by rounding either way.
+    block's last site j, computed by the prefix product instead of the
+    site loop.  Its sign is what counts for site j, and the block's
+    pivots follow from it, so an error in it acts like a perturbation of
+    the single diagonal entry a_j: the count is the exact count of a box
+    with a few diagonal entries off by rounding, and it can differ from
+    the site loop's only when E lies within rounding of an eigenvalue of
+    the whole box, where the count is decided by rounding either way.  So
+    equal counts at E_i < E_j mean the box has no eigenvalue in
+    (E_i + delta, E_j - delta), delta of rounding size, and the site
+    loop's count at every energy in between is that same count: a pinned
+    count is the site loop's on the same terms.
     """
     shape = np.shape(E_grid)
     E = np.asarray(E_grid, dtype=float).ravel()
@@ -81,37 +94,72 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     lo, hi = a.min(initial=np.inf), a.max(initial=-np.inf)
     # an infinite entry turns the block totals of passes 1-2 into inf - inf
     # = NaN, so such a diagonal runs as the plain site loop
-    B = 1 if np.isinf(lo) or np.isinf(hi) else block_count(N, E.size)
-    S = -(-N // B)  # block i holds sites i S .. i S + S - 1; the last may be short
+    blocked = not (np.isinf(lo) or np.isinf(hi))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         full = hi - E <= -2.0
         scan = ~(full | (lo - E >= 2.0))
         count = np.where(full, N, 0)
         E = E[scan]
-        g = _starting_pivots(a[:(B - 1) * S].reshape(B - 1, S), E)
-        # the last site of each block is counted by the sign of the next
-        # block's start, so the sign at a boundary and the pivots after it
-        # come from one value (see the exactness note above)
-        inner = np.count_nonzero(g[1:] > 0.0, axis=0)
-        # 3. negated pivots and counts inside the blocks, the last block
-        # padded with diagonal +inf (g = -inf or NaN: never counted); the
-        # counts run in uint8, added into the int64 total every 255 sites
-        a = np.concatenate([a, np.full(B * S - N, np.inf)])
-        run = np.zeros(g.shape, dtype=np.uint8)
-        ae = np.empty_like(g)
-        mask = np.empty(g.shape, dtype=bool)
-        for t in range(S):
-            np.subtract(a[t::S, None], E, out=ae)  # site t of every block
+        if E.size > 128 and np.all(E[1:] > E[:-1]):
+            count[scan] = _pinned_counts(a, E, blocked)
+        else:
+            count[scan] = _pivot_scan(a, E, blocked)
+    return count.reshape(shape)
+
+
+def _pinned_counts(a: np.ndarray, E: np.ndarray, blocked: bool) -> np.ndarray:
+    """Counts at the strictly rising energies E: every 32nd and the last
+    by one scan, the energies between two equal counts pinned to them,
+    and the rest by a second scan (see ``sturm_counts``)."""
+    coarse = np.r_[0:len(E) - 1:32, len(E) - 1]
+    c = _pivot_scan(a, E[coarse], blocked)
+    gaps = np.diff(coarse)
+    count = np.append(np.repeat(c[:-1], gaps), c[-1])
+    open_ = np.append(np.repeat(c[:-1] != c[1:], gaps), False)
+    open_[coarse] = False
+    count[open_] = _pivot_scan(a, E[open_], blocked)
+    return count
+
+
+def _pivot_scan(a: np.ndarray, E: np.ndarray, blocked: bool) -> np.ndarray:
+    """Passes 1-3 of ``sturm_counts`` at the energies E: the one loop of
+    the package that steps the Sturm pivots."""
+    N = len(a)
+    if not E.size:
+        return np.zeros(0, dtype=np.int64)
+    B = min(N // 16, 2**12 // E.size) if blocked else 1
+    if B < 8:  # too few blocks to repay passes 1-2
+        B = 1
+    S = -(-N // B)  # block i holds sites i S .. i S + S - 1; the last may be short
+    if B > 1:
+        B = -(-N // S)  # no block left empty
+    g = _starting_pivots(a[:(B - 1) * S].reshape(B - 1, S), E)
+    # the last site of each block is counted by the sign of the next
+    # block's start, so the sign at a boundary and the pivots after it
+    # come from one value (see the exactness note of ``sturm_counts``)
+    inner = np.count_nonzero(g[1:] > 0.0, axis=0)
+    # 3. negated pivots and counts inside the blocks; the counts run in
+    # uint8, added into the int64 total every 255 sites
+    short = N - (B - 1) * S  # sites of the last block
+    run = np.zeros(g.shape, dtype=np.uint8)
+    ae = out = np.empty_like(g)
+    mask = np.empty(g.shape, dtype=bool)
+    mask8 = mask.view(np.uint8)
+    for t0 in range(0, S, 255):
+        t1 = min(t0 + 255, S)
+        rows = a[t0:t1].tolist() if B == 1 else (a[t::S, None] for t in range(t0, t1))
+        for t, r in enumerate(rows, t0):
+            if t == short:  # past its end the last block reads diagonal +inf
+                ae[-1] = np.inf  # (g = -inf or NaN: never counted)
+                out = ae[:-1]
+            np.subtract(r, E, out=out)  # site t of every block
             np.divide(-1.0, g, out=g)
             np.subtract(g, ae, out=g)
             np.greater_equal(g, 0.0, out=mask)
-            np.add(run, mask.view(np.uint8), out=run)
-            if t % 255 == 254:
-                inner += run.sum(axis=0, dtype=np.int64)
-                run.fill(0)
+            np.add(run, mask8, out=run)
         inner += run.sum(axis=0, dtype=np.int64)
-        count[scan] = inner - np.count_nonzero(g[:B - 1] >= 0.0, axis=0)
-    return count.reshape(shape)
+        run.fill(0)
+    return inner - np.count_nonzero(g[:B - 1] >= 0.0, axis=0)
 
 
 def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -130,9 +178,9 @@ def _starting_pivots(full: np.ndarray, E: np.ndarray) -> np.ndarray:
             np.subtract(full[:, t, None], E, out=e)
             yield e
 
-    # 2. fold: the pivot is a / c of the block's starting product (inf, 1/0,
-    # for block 0); the power-of-two scaling of the starts leaves it exact
-    x, _ = block_starts(*block_totals(rows(), e.shape))
+    # 2. prefix product: the pivot is a / c of the block's starting product
+    # (inf, 1/0, for block 0); the power-of-two scaling leaves it exact
+    x, _ = block_starts(rows(), e.shape)
     g = -x[0, 0] / x[1, 0]
     g[g == 0.0] = 1e-300  # d = 0 is nudged to -tiny
     g[g == np.inf] = -np.inf
@@ -357,10 +405,15 @@ def refine_gap_edge(v: Potential, alpha: float, gap: GapRecord, side: str,
     coarse level is off by O(1/coarse size), far more than the 3/size
     crossing offset), then the energy where the box IDS leaves the
     plateau by more than the possible boundary-state count is narrowed
-    by ``stages`` vectorised Sturm scans around the coarse edge.
+    by ``stages`` grids of ``pts`` energies around the coarse edge.  The
+    box IDS never decreases in E, so each stage counts every 8th grid
+    point and the last, then only the at most 7 points of the bracket
+    where the count first reaches its target: the crossing index is the
+    one a count of the whole grid gives.
     ``side`` is 'left' for the lower edge or 'right' for the upper.
     ``pts`` below 2, or a ``half_width`` (given, or half the gap) that is
-    not positive and finite, raises ValueError.
+    not positive and finite, raises ValueError, and so does an edge that
+    the first grid, edge +- half_width, does not bracket.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -371,12 +424,25 @@ def refine_gap_edge(v: Potential, alpha: float, gap: GapRecord, side: str,
     mid_gap = 0.5 * (gap.e_left + gap.e_right)
     level = float(sturm_counts(diag, np.array([mid_gap]))[0]) / size
     target = level - 3.0 / size if side == "left" else level + 3.0 / size
+
+    def crossing(grid):  # the first index where the box IDS reaches target
+        coarse = np.r_[0:pts - 1:8, pts - 1]
+        k = int(np.searchsorted(sturm_counts(diag, grid[coarse]) / size >= target, True))
+        if k in (0, len(coarse)):
+            return 0 if k == 0 else pts
+        lo = coarse[k - 1] + 1
+        inside = sturm_counts(diag, grid[lo:coarse[k]]) / size >= target
+        return lo + int(np.searchsorted(inside, True))  # N is monotone: False ... True
+
     edge = gap.e_left if side == "left" else gap.e_right
     lo, hi = edge - half_width, edge + half_width
-    for _ in range(stages):
+    for stage in range(stages):
         grid = np.linspace(lo, hi, pts)
-        N = sturm_counts(diag, grid) / size
-        idx = int(np.searchsorted(N >= target, True))  # N is monotone: False ... True
+        idx = crossing(grid)
+        if stage == 0 and not 0 < idx < pts:
+            raise ValueError(f"the box IDS does not cross {target!r} inside the window "
+                             f"[{lo!r}, {hi!r}]: the {side} edge lies outside it; "
+                             "widen half_width")
         idx = min(max(idx, 1), pts - 1)
         lo, hi = grid[idx - 1], grid[idx]
     return float(0.5 * (lo + hi))

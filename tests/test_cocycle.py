@@ -9,6 +9,7 @@ from quasispec.cocycle import (
     GrowthProfile,
     Potential,
     adjugate,
+    block_starts,
     growth_profile,
     iterate,
     lyapunov,
@@ -77,6 +78,33 @@ class TestStackToolkit:
         top = np.abs(y).max(axis=(0, 1))
         assert np.all((0.5 <= top) & (top < 1.0))
         assert np.array_equal(np.ldexp(y, k), x)
+
+    @pytest.mark.parametrize("steps", [37, 40], ids=["odd-steps", "even-steps"])
+    @pytest.mark.parametrize("blocks", [0, 1, 2, 3, 5, 8, 31, 64, 100, 129])
+    @pytest.mark.parametrize("lanes", [(), (3,)], ids=["scalar", "3-lanes"])
+    def test_block_starts_match_a_sequential_fold(self, blocks, lanes, steps):
+        # companion steps [[e, -1], [1, 0]] with random e, block i's steps
+        # multiplied out and folded onto the start of block i one block at a
+        # time, in log form; an odd step count leaves the scan's rows swapped.
+        # Both products round differently: within 1e-14 per step, relative
+        # to the largest entry
+        e = np.random.default_rng(blocks).uniform(-3.0, 3.0, (steps, blocks) + lanes)
+        x, sx = block_starts(iter(e), (blocks,) + lanes)
+        assert x.shape == (2, 2, blocks + 1) + lanes and sx.shape == (blocks + 1,) + lanes
+        eye = np.eye(2).reshape((2, 2) + (1,) * len(lanes))
+        m, ex = np.broadcast_to(eye, (2, 2) + lanes).copy(), np.zeros(lanes, dtype=np.int64)
+        for i in range(blocks + 1):
+            got = np.ldexp(x[:, :, i], sx[i] - ex)
+            top = np.abs(m).max(axis=(0, 1))
+            assert np.all(np.abs(got - m).max(axis=(0, 1)) <= 1e-14 * max(1, i * steps) * top)
+            if i:
+                assert np.all((0.5 <= np.abs(x[:, :, i]).max(axis=(0, 1))) & (top > 0))
+                assert np.all(np.abs(x[:, :, i]).max(axis=(0, 1)) < 1.0)
+            for t in range(steps if i < blocks else 0):
+                step = np.array([[e[t, i], -np.ones(lanes)], [np.ones(lanes), np.zeros(lanes)]])
+                m = np.einsum("ij...,jk...->ik...", step, m)
+                k = np.frexp(np.abs(m).max(axis=(0, 1)))[1]
+                m, ex = np.ldexp(m, -k), ex + k
 
 
 class TestStepMatrix:

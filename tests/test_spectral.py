@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from quasispec import spectral
 from quasispec.arithmetic import resolve_alpha
-from quasispec.cocycle import Potential, lyapunov
+from quasispec.cocycle import Potential, lyapunov, orbit
 from quasispec.spectral import (
     GapRecord,
     gap_edges,
@@ -50,6 +51,36 @@ def sturm_counts_sequential(diag, E_grid):
 
 def orbit_diag(v, size, theta=0.0):
     return np.asarray(v((theta + ALPHA * np.arange(size)) % 1.0), dtype=float)
+
+
+@functools.lru_cache(maxsize=1)
+def _widest_gaps():
+    """The gaps of the AMO(0.5) 4000 x 6401 table, widest first."""
+    tab = ids(AMO, ALPHA, np.linspace(-3.2, 3.2, 6401), "finite_box", size=4000)
+    return sorted(gap_edges(tab), key=lambda g: g.e_right - g.e_left, reverse=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _sequential_edges(size=50000, half_width=5e-3, stages=3, pts=64):
+    """The edge search of ``refine_gap_edge`` on both edges of the four
+    widest gaps, every point of every stage's grid counted by the site
+    loop; the eight searches share one loop per stage."""
+    diag = np.asarray(AMO(orbit(0.0, ALPHA, 0, size)), dtype=float)
+    edges = [(rank, side) for rank in range(4) for side in ("left", "right")]
+    gaps = [_widest_gaps()[rank] for rank, _ in edges]
+    mids = np.array([0.5 * (g.e_left + g.e_right) for g in gaps])
+    levels = sturm_counts_sequential(diag, mids) / size
+    targets = [lv - 3.0 / size if side == "left" else lv + 3.0 / size
+               for lv, (_, side) in zip(levels, edges)]
+    centres = [g.e_left if side == "left" else g.e_right for g, (_, side) in zip(gaps, edges)]
+    windows = [(c - half_width, c + half_width) for c in centres]
+    for _ in range(stages):
+        grids = [np.linspace(lo, hi, pts) for lo, hi in windows]
+        N = sturm_counts_sequential(diag, np.concatenate(grids)).reshape(len(edges), pts) / size
+        for i, (grid, target) in enumerate(zip(grids, targets)):
+            idx = min(max(int(np.searchsorted(N[i] >= target, True)), 1), pts - 1)
+            windows[i] = grid[idx - 1], grid[idx]
+    return {edge: float(0.5 * (lo + hi)) for edge, (lo, hi) in zip(edges, windows)}
 
 
 class TestSturm:
@@ -184,11 +215,78 @@ class TestSturm:
         assert np.array_equal(sturm_counts(diag, grid), sturm_counts_sequential(diag, grid))
 
     def test_blocked_few_energy_counts_pinned(self):
-        # 7 energies over 50000 sites: 223 blocks of 225 sites, each block's
-        # starting pivot from the companion-step scan and its fold
+        # 7 energies over 50000 sites: 585 blocks of 86 sites, each block's
+        # starting pivot from the companion-step scan and its prefix product
         diag = orbit_diag(AMO, 50000)
         assert sturm_counts(diag, np.linspace(-2.4, 2.4, 7)).tolist() == [
             0, 12575, 19098, 25000, 30901, 37426, 50000]
+
+
+def _record_scans(monkeypatch):
+    """The energies of every pivot scan that ``sturm_counts`` runs."""
+    scans = []
+    scan = spectral._pivot_scan
+
+    def recording(a, E, blocked):
+        scans.append(E.copy())
+        return scan(a, E, blocked)
+
+    monkeypatch.setattr(spectral, "_pivot_scan", recording)
+    return scans
+
+
+class TestPinnedCounts:
+    """Strictly rising grids of more than 128 scanned energies: every 32nd
+    energy and the last are counted first, and an energy between two equal
+    counts takes that count with no scan."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["amo", "random", "free"]), st.floats(0.2, 3.0),
+           st.floats(0.0, 1.0), st.integers(16, 1500), st.integers(160, 700),
+           st.integers(0, 2**32 - 1))
+    def test_equals_sequential_loop(self, kind, lam, theta, size, points, seed):
+        # AMO boxes have wide gaps, so long plateaus; random grids are uneven;
+        # the free box hits exact zero pivots at E = -1, 0, 1
+        rng = np.random.default_rng(seed)
+        if kind == "amo":
+            diag = orbit_diag(Potential.amo(lam), size, theta)
+        elif kind == "random":
+            diag = rng.uniform(-lam, lam, size)
+        else:
+            diag = np.zeros(size)
+        reach = 2.0 + np.abs(diag).max() + 0.5
+        E = np.unique(np.r_[rng.uniform(-reach, reach, points), -1.0, 0.0, 1.0])
+        assert np.array_equal(sturm_counts(diag, E), sturm_counts_sequential(diag, E))
+
+    @pytest.mark.parametrize("grid", [
+        np.random.default_rng(3).permutation(np.linspace(-2.5, 2.5, 1001)),
+        np.r_[np.linspace(-2.5, 0.0, 500), np.linspace(0.0, 2.5, 501)],
+        np.r_[np.linspace(-2.5, 0.0, 500), np.nan, np.linspace(0.01, 2.5, 500)],
+        np.linspace(-2.5, 2.5, 128),
+    ], ids=["unsorted", "repeated", "nan", "128-energies"])
+    def test_fallbacks_scan_every_energy(self, monkeypatch, grid):
+        diag = orbit_diag(AMO, 2000, 0.4)
+        scans = _record_scans(monkeypatch)
+        got = sturm_counts(diag, grid)
+        assert np.array_equal(got, sturm_counts_sequential(diag, grid))
+        assert len(scans) == 1 and np.array_equal(scans[0], grid, equal_nan=True)
+
+    def test_wide_free_grid_with_exact_zero_pivots(self, monkeypatch):
+        # E = k / 1000 holds -2, -1, 0, 1 and 2 exactly, where the free box
+        # hits zero pivots; the bands' counts change at almost every energy
+        diag = np.zeros(3000)
+        grid = np.arange(-3000, 3001) / 1000.0
+        scans = _record_scans(monkeypatch)
+        assert np.array_equal(sturm_counts(diag, grid), sturm_counts_sequential(diag, grid))
+        assert len(scans) == 2
+
+    def test_gapped_table_scans_under_half_its_energies(self, monkeypatch):
+        # the AMO(0.5) table of the gap search: Gershgorin trims 1,600
+        # energies, and pinning most of the gaps' energies
+        diag = orbit_diag(AMO, 4000)
+        scans = _record_scans(monkeypatch)
+        sturm_counts(diag, np.linspace(-3.2, 3.2, 6401))
+        assert len(scans) == 2 and sum(map(len, scans)) < 6401 // 2
 
 
 class TestIds:
@@ -330,12 +428,24 @@ class TestGaps:
         with pytest.raises(ValueError, match="at least two energies"):
             gap_edges(tab)
 
-    def test_refined_edge_equals_sequential(self, monkeypatch):
-        # the left edge of the gap labelled alpha, as the 4000-site table finds it
-        gap = GapRecord(e_left=0.336, e_right=1.297, n_plateau=0.618125)
-        got = refine_gap_edge(AMO, ALPHA, gap, "left", half_width=5e-3, size=50000)
-        monkeypatch.setattr(spectral, "sturm_counts", sturm_counts_sequential)
-        assert got == refine_gap_edge(AMO, ALPHA, gap, "left", half_width=5e-3, size=50000)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("rank", range(4), ids=lambda r: f"gap{r}")
+    def test_refined_edge_equals_sequential(self, rank, side):
+        # the eight edges of the benchmark: both edges of the four widest gaps
+        # of the 4000-site table
+        gap = _widest_gaps()[rank]
+        got = refine_gap_edge(AMO, ALPHA, gap, side, half_width=5e-3, size=50000)
+        assert got == _sequential_edges()[rank, side]
+
+    @pytest.mark.parametrize("half_width", [1e-6, 1e-4])
+    def test_edge_outside_the_window_is_an_error(self, half_width):
+        # the left edge of the widest gap lies at -1.2976064, outside
+        # -1.297 +- half_width: the search returned the window's left end
+        gap = _widest_gaps()[0]
+        with pytest.raises(ValueError, match="outside it; widen half_width"):
+            refine_gap_edge(AMO, ALPHA, gap, "left", half_width=half_width, size=50000)
+        edge = refine_gap_edge(AMO, ALPHA, gap, "left", half_width=5e-3, size=50000)
+        assert edge == pytest.approx(-1.2976064, abs=1e-7)
 
     def test_refined_edge_inside_coarse_bracket(self):
         tab = ids(AMO, ALPHA, np.linspace(-3.2, 3.2, 3201), "finite_box", size=3000)
