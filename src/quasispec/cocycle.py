@@ -14,8 +14,9 @@ rescale exponents to its consumer: the block totals (``block_totals``)
 behind ``iterate`` and the m-function walk, the block starts
 (``block_starts``, totals folded by a log-depth prefix product) behind
 the Sturm counts and the Lyapunov products, the in-block pass of the
-Lyapunov products, and the P-ladder's blocked pass.  Every product-returning routine reports the accumulated log
-scale, so the exact product is exp(log_scale) * matrix.  Matrices are
+Lyapunov products, and the P-ladder's blocked pass.  Every
+product-returning routine reports the accumulated log scale, so the
+exact product is exp(log_scale) * matrix.  Matrices are
 plain 2x2 ndarrays, and stacks of them (2, 2, ...) ndarrays.
 
 The small algebra the other modules share is written here once: the
@@ -229,9 +230,10 @@ def block_count(n: int, width: int) -> int:
     """Blocks for a two-level scan of n sequential steps over ``width``
     independent lanes: about sqrt(n), so the in-block loops are ~sqrt(n)
     long (the fold over the blocks, ``block_starts``, is log-depth),
-    capped so one step of every block touches at most 2**12 values.  1 when the cap leaves no room for more: a step
-    over that many values already costs far more than its Python
-    overhead, so blocking would only add the block-total pass.  (A 2**14
+    capped so one step of every block touches at most 2**12 values.  1
+    when the cap leaves no room for more: a step over that many values
+    already costs far more than its Python overhead, so blocking would
+    only add the block-total pass.  (A 2**14
     cap measured no faster and held up to 1 MB more in temporaries.)"""
     return max(1, min(math.isqrt(n), 2**12 // max(width, 1)))
 
@@ -377,9 +379,9 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
     longer than about sqrt(n) and the potential is sampled once per block
     row (one step of every block), never once per step:
 
-    1. the totals of the B - 1 full blocks (``block_totals``);
+    1. the totals of the B - 1 full blocks, and
     2. their log-depth prefix product, every block's starting product
-       (``block_starts``, which forms the totals of pass 1 in place);
+       (both ``block_starts``);
     3. from those starts, the products inside the blocks
        (``companion_scan``): all B blocks, with the norm of every
        prefix, for keep_all; otherwise only the last block, whose end is
@@ -429,8 +431,9 @@ def lyapunov(E: float, v: Potential, alpha: float, n: int, x_grid: int,
     pass grid='uniform' for an equispaced grid.  The products A_n(x) of
     all phases come from one blocked scan (``_batched_log_norms``): about
     2 sqrt(n) vectorised steps, each sampling the potential once for all
-    blocks and phases, and a log-depth fold between them.  The reduction order is fixed, so results are
-    deterministic for a given grid specification.
+    blocks and phases, and a log-depth fold between them.  The reduction
+    order is fixed, so results are deterministic for a given grid
+    specification.
     """
     if n < 1 or x_grid < 1:
         raise ValueError("n and x_grid must be >= 1")

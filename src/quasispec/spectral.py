@@ -71,8 +71,9 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
        and counts; its reciprocal -inf gives the next two sites the signs
        that nudging it to -tiny would, so zero pivots take no extra pass.
 
-    When B = 1 (more than 2**11 energies, or a diagonal with an infinite
-    entry), passes 1-2 are empty and pass 3 is the plain site loop.
+    When B = 1 (more than 512 energies, fewer than 128 sites, or a
+    diagonal with an infinite entry), passes 1-2 are empty and pass 3 is
+    the plain site loop.
 
     Exactness: a block's starting pivot is the pivot d_j of the previous
     block's last site j, computed by the prefix product instead of the
