@@ -281,8 +281,9 @@ class TestPinnedCounts:
         assert len(scans) == 2
 
     def test_gapped_table_scans_under_half_its_energies(self, monkeypatch):
-        # the AMO(0.5) table of the gap search: Gershgorin trims 1,600
-        # energies, and pinning most of the gaps' energies
+        # the AMO(0.5) table of the gap search: the Gershgorin trim leaves
+        # 5,999 energies, and pinning decides most of those in the gaps
+        # (2,545 are scanned)
         diag = orbit_diag(AMO, 4000)
         scans = _record_scans(monkeypatch)
         sturm_counts(diag, np.linspace(-3.2, 3.2, 6401))
