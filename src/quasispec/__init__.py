@@ -16,12 +16,9 @@ from .arithmetic import (
 from .cocycle import (
     GrowthProfile,
     Potential,
-    SolutionSeq,
     growth_profile,
     iterate,
     lyapunov,
-    solution,
-    step_matrix,
 )
 from .conjugation import (
     BandFunction,

@@ -198,10 +198,7 @@ def _holder(args, freq, v, params):
 
 
 def _ids(args, freq, v, params):
-    if args.phases is not None and args.method == "finite-box":
-        raise ValueError("--phases is read by --method phase-average only")
-    table = ids(v, freq.alpha, _energy_grid(args), args.method.replace("-", "_"),
-                args.size, args.theta, 64 if args.phases is None else args.phases)
+    table = ids(v, freq.alpha, _energy_grid(args), "finite_box", args.size, args.theta)
     return [[float(a), float(b)] for a, b in zip(table.energies, table.N_values)]
 
 
@@ -362,11 +359,9 @@ COMMANDS = {
     "ids": Command(
         "integrated density of states", "E,N", _ids,
         ("theta", "potential", "grid"),
-        (_arg("--method", choices=["finite-box", "phase-average"], default="finite-box"),
-         _arg("--size", type=int, default=3000),
-         _arg("--phases", type=int, help="phases of --method phase-average (default 64)")),
+        (_arg("--size", type=int, default=3000),),
         plot=(0, 1, False),
-        notes="N is the phase-averaged spectral distribution"),
+        notes="N is the eigenvalue count per site of the --size box at --theta"),
     "thouless": Command(
         "Thouless-formula residual on an energy grid",
         "E,lyapunov,thouless_integral,residual", _thouless,

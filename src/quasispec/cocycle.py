@@ -192,11 +192,6 @@ def _turns(alpha: float, ks: tuple, steps: int) -> tuple:
     return tuple(map(tuple, np.exp(2j * np.pi * turns).tolist()))
 
 
-def step_matrix(z, v: Potential, x: float) -> np.ndarray:
-    """Transfer step [[z - v(x), -1], [1, 0]]; det = 1 exactly."""
-    return np.array([[z - v(x), -1.0], [1.0, 0.0]])
-
-
 def iterate(z, v: Potential, alpha: float, x: float, n: int) -> tuple[np.ndarray, float]:
     """n-th cocycle iterate at x, rescaled to unit operator norm.
 
@@ -343,9 +338,8 @@ def normalize_stack(x):
     """Scale each matrix of the (2, 2, ...) stack x, in place, by the power
     of two that brings its max-abs entry into [0.5, 1): exact, and
     invisible to a Moebius action.  Returns the exponents k, so the
-    matrices were 2**k times the scaled ones.  The max-abs is taken row by
-    row, so its temporary is half the stack's size, not all of it."""
-    k = np.frexp(np.maximum(np.abs(x[0]).max(axis=0), np.abs(x[1]).max(axis=0)))[1]
+    matrices were 2**k times the scaled ones."""
+    k = np.frexp(np.abs(x).max(axis=(0, 1)))[1]
     x *= np.ldexp(1.0, -k)
     return k
 
@@ -475,39 +469,6 @@ def growth_profile(E: float, v: Potential, alpha: float, s_max: int,
     hist = _batched_log_norms(float(E), v, alpha, phases, s_max, keep_all=True)
     return GrowthProfile(s=np.arange(1, s_max + 1), log_sup=hist.max(axis=1),
                          phase_count=phase_grid)
-
-
-@dataclass(frozen=True)
-class SolutionSeq:
-    """A solution of H u = z u with rotated boundary pair at the origin:
-    u_0 cos(beta) + u_1 sin(beta) = 0 and |u_0|^2 + |u_1|^2 = 1."""
-
-    beta: float
-    z: complex
-    values: np.ndarray  # u_0 .. u_L
-
-    def norm_upto(self, L: int) -> float:
-        """(sum_{j=1}^{L} |u_j|^2)^{1/2}."""
-        return float(np.sqrt(np.sum(np.abs(self.values[1:L + 1]) ** 2)))
-
-    def boundary_pair(self) -> tuple:
-        return self.values[0], self.values[1]
-
-
-def solution(beta: float, z, v: Potential, alpha: float, x: float, L: int) -> SolutionSeq:
-    """Generate u_0..u_L by transfer-matrix steps from the normalized
-    boundary pair (u_0, u_1) = (-sin beta, cos beta)."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    complex_case = isinstance(z, complex) and z.imag != 0.0
-    if not complex_case and isinstance(z, complex):
-        z = z.real
-    u = np.empty(L + 1, dtype=complex if complex_case else float)
-    u[0] = -math.sin(beta)
-    u[1] = math.cos(beta)
-    for j, e in enumerate(z - v(orbit(x, alpha, 1, L)), start=1):  # sites 1 .. L-1
-        u[j + 1] = e * u[j] - u[j - 1]
-    return SolutionSeq(beta=beta, z=z, values=u)
 
 
 def solution_norm_sq_batch(u0: np.ndarray, u1: np.ndarray, E: float, v: Potential,

@@ -48,10 +48,6 @@ class BandFunction:
         out = mode_sum(self.coeffs, x)
         return out if np.ndim(x) else complex(out[()])
 
-    def shifted(self, dx: float) -> "BandFunction":
-        return BandFunction({k: c * cmath.exp(2j * math.pi * k * dx)
-                             for k, c in self.coeffs.items()}, self.band)
-
     def to_grid(self, n: int) -> np.ndarray:
         spec = np.zeros(n, dtype=complex)
         for k, c in self.coeffs.items():
@@ -216,7 +212,12 @@ class TriangularCocycle:
 
     @property
     def delta(self) -> float:
-        return self.r * self.alpha - 2.0 * self.theta
+        """r alpha - 2 theta reduced to [-1/2, 1/2]: the closed forms read
+        it only through 1-periodic functions, and an unreduced d puts
+        sin(4 pi k d) at an argument of thousands, with that many times
+        the rounding of d."""
+        d = self.r * self.alpha - 2.0 * self.theta
+        return d - round(d)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,21 @@
 """Spectral-measure window estimates, Hoelder-exponent fitting,
 integrated density of states and the Thouless formula.
 
-The window proxy is w(eps) = 2 eps Im M(E + i eps), an exact upper
-bound for the corner measure of (E-eps, E+eps); the tool fits the
-scaling of Im M and never claims pointwise measure values.  Finite-box
-IDS, spectrum membership and gap-edge refinement use Sturm-sequence
-eigenvalue counting on the symmetric tridiagonal truncation, O(size)
-work per energy, run as a blocked scan over sites x energies: the pivot
-maps of up to size / 16 blocks are folded into each block's starting
-pivot by a log-depth prefix product, then the pivot recurrence runs
-inside all blocks at once (``sturm_counts``).  Only energies whose count
-is not already known are scanned: those outside the Gershgorin interval
-of the box are counted without a scan, and on a rising grid those
-between two equal counts take that count (the count never decreases in
-E); an edge search scans only the bracket where the count reaches its
-target.  Counting pivots is the discrete form of the rotation-number
-view of the IDS.
+The window proxy is w(eps) = 2 eps Im M(E + i eps), an exact upper bound
+for the corner measure of (E-eps, E+eps); the tool fits the scaling of
+Im M and never claims pointwise measure values.  The IDS has one method,
+the finite box: it, spectrum membership and gap-edge refinement use
+Sturm-sequence eigenvalue counting on the symmetric tridiagonal
+truncation at one phase, O(size) work per energy, run as a blocked scan
+over sites x energies: the pivot maps of up to size / 16 blocks are
+folded into each block's starting pivot by a log-depth prefix product,
+then the pivot recurrence runs inside all blocks at once
+(``sturm_counts``).  Only energies whose count is not already known are
+scanned: those outside the Gershgorin interval of the box are counted
+without a scan, and on a rising grid those between two equal counts take
+that count (the count never decreases in E); an edge search scans only
+the bracket where the count reaches its target.  Counting pivots is the
+discrete form of the rotation-number view of the IDS.
 """
 
 from __future__ import annotations
@@ -197,7 +197,6 @@ class IdsTable:
 
     energies: np.ndarray
     N_values: np.ndarray
-    method: str
     size: int
 
     def __post_init__(self):
@@ -223,41 +222,20 @@ def _two_or_more(energies: np.ndarray) -> np.ndarray:
 
 
 def ids(v: Potential, alpha: float, E_grid, method: str = "finite_box",
-        size: int = 3000, theta: float = 0.0, phases: int = 64) -> IdsTable:
-    """Integrated density of states N(E) on a grid.
-
-    ``finite_box`` counts eigenvalues of the size x size truncation with
-    Dirichlet ends at the fixed phase theta (self-averaging).
-    ``phase_average`` averages the center-site spectral distribution of
-    smaller boxes over ``phases`` equispaced phases.
+        size: int = 3000, theta: float = 0.0) -> IdsTable:
+    """Integrated density of states N(E) on a grid: the eigenvalue count
+    per site of the size x size truncation with Dirichlet ends at the
+    fixed phase theta (self-averaging), by ``sturm_counts``.  ``method``
+    names that finite box, the one method: any other value raises
+    ValueError.
     """
+    if method != "finite_box":
+        raise ValueError(f"method must be 'finite_box', got {method!r}")
     if size < 100:
         raise ValueError("size must be >= 100")
-    if phases < 1:
-        raise ValueError(f"phases must be >= 1, got {phases}")
     E = np.asarray(E_grid, dtype=float)
-    if method == "finite_box":
-        diag = np.asarray(v(orbit(theta, alpha, 0, size)), dtype=float)
-        N = sturm_counts(diag, E) / size
-        return IdsTable(energies=E, N_values=N, method=method, size=size)
-    if method == "phase_average":
-        from scipy.linalg import eigh_tridiagonal
-
-        off = np.ones(size - 1)
-        center = size // 2
-
-        def one_phase(j):
-            th = theta + j / phases
-            diag = np.asarray(v(orbit(th, alpha, 0, size)), dtype=float)
-            w, vecs = eigh_tridiagonal(diag, off, select="a")
-            weights = np.abs(vecs[center, :]) ** 2
-            cum = np.concatenate([[0.0], np.cumsum(weights)])
-            idx = np.searchsorted(w, E, side="right")
-            return cum[idx]
-
-        N = np.sum([one_phase(j) for j in range(phases)], axis=0) / phases
-        return IdsTable(energies=E, N_values=N, method=method, size=size)
-    raise ValueError("method must be 'finite_box' or 'phase_average'")
+    diag = np.asarray(v(orbit(theta, alpha, 0, size)), dtype=float)
+    return IdsTable(energies=E, N_values=sturm_counts(diag, E) / size, size=size)
 
 
 def in_spectrum(v: Potential, alpha: float, E: float, delta: float,

@@ -288,12 +288,9 @@ class TestExitCodes:
         ["reduce", "--potential", "trigpoly", "--coeffs", "0:3:0,1:-0.5:0,-1:-0.5:0",
          "--band", "nan"],
         ["reduce", "--potential", "trigpoly", "--coeffs", "0:3:0,1:nan:0,-1:nan:0"],
-        ["ids", "--e", "0.0", "--size", "200", "--method", "phase-average", "--phases", "0"],
-        ["ids", "--e", "0.0", "--size", "200", "--method", "phase-average", "--phases", "-1"],
         ["subordinacy", "--e", "0.0", "--k-max", "10", "--depth-cap", "0"],
     ], ids=["resonances", "lyapunov", "mfunction", "subordinacy", "holder", "ids", "thouless",
-            "gaps", "tx-oracle", "tx-oracle-imag", "reduce", "reduce-coeffs", "phases-0",
-            "phases-neg", "depth-cap-0"])
+            "gaps", "tx-oracle", "tx-oracle-imag", "reduce", "reduce-coeffs", "depth-cap-0"])
     def test_bad_number_is_2(self, tmp_path, capsys, argv):
         out = tmp_path / "b.csv"
         assert main(argv + ["--out", str(out)]) == 2
@@ -313,13 +310,18 @@ class TestExitCodes:
         assert "--e excludes --e-min/--e-max" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_phases_with_finite_box_is_2(self, tmp_path, capsys):
-        out = tmp_path / "i.csv"
-        rc = main(["ids", "--e-min", "-1", "--e-max", "1", "--e-points", "3", "--size", "200",
-                   "--phases", "7", "--out", str(out)])
-        assert rc == 2
-        assert "--phases" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("flags", [["--method", "phase-average"], ["--phases", "8"]],
+                             ids=["method", "phases"])
+    def test_removed_ids_flag_is_2(self, tmp_path, capsys, flags):
+        # the finite box is the one IDS method, so --method and --phases are
+        # unknown flags, refused before anything is written
+        with pytest.raises(SystemExit) as exc:
+            main(["ids", "--e", "0.0", "--size", "200", *flags,
+                  "--out", str(tmp_path / "i.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_mfunction_points_below_one_is_2(self, tmp_path, capsys, points):

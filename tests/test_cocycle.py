@@ -16,8 +16,6 @@ from quasispec.cocycle import (
     normalize_stack,
     orbit,
     site_rows,
-    solution,
-    step_matrix,
 )
 from quasispec.conjugation import BandFunction
 
@@ -107,28 +105,13 @@ class TestStackToolkit:
                 m, ex = np.ldexp(m, -k), ex + k
 
 
-class TestStepMatrix:
-    def test_free_zero_energy(self):
-        m = step_matrix(0.0, FREE, 0.3)
-        assert np.allclose(m, [[0.0, -1.0], [1.0, 0.0]])
-
-    def test_amo_half(self):
-        m = step_matrix(0.0, Potential.amo(0.5), 0.0)
-        assert np.allclose(m, [[-1.0, -1.0], [1.0, 0.0]])
-
-    def test_det_exactly_one(self):
-        for _ in range(20):
-            m = step_matrix(RNG.normal(), Potential.amo(RNG.uniform()), RNG.uniform())
-            assert m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == 1.0
-
-
 class TestIterate:
     def test_empty_product(self):
         m, s = iterate(1.0, FREE, ALPHA, 0.2, 0)
         assert np.allclose(m, np.eye(2)) and s == 0.0
 
     def test_single_factor(self):
-        a = step_matrix(2.5, FREE, 0.1)
+        a = np.array([[2.5 - FREE(0.1), -1.0], [1.0, 0.0]])  # the transfer step at x = 0.1
         m, s = iterate(2.5, FREE, ALPHA, 0.1, 1)
         assert s == pytest.approx(math.log(np.linalg.norm(a, 2)))
         assert np.allclose(m * math.exp(s), a)
@@ -269,23 +252,26 @@ class TestLyapunov:
         assert a == pytest.approx(b, abs=1e-6)
 
 
-def log_norms_sequential(E, v, phases, n):
-    """log ||A_s(x)|| for s = 1..n, one step at a time with max-abs
-    rescaling and the 2-norm from an SVD: the reference for the blocked
-    scan in ``cocycle``."""
+def log_norms_sequential(E, v, phases, n, every_step=True):
+    """log ||A_s(x)|| for s = 1..n, shape (n, len(phases)), one step at a
+    time with max-abs rescaling and the 2-norm from an SVD: the reference
+    for the blocked scan in ``cocycle``.  With ``every_step`` false the
+    same steps and rescales run, but the norm is taken at s = n only, and
+    that row alone is returned."""
     M = np.tile(np.eye(2), (len(phases), 1, 1))
     logs = np.zeros(len(phases))
-    out = np.empty((n, len(phases)))
+    out = np.empty((n if every_step else 1, len(phases)))
     for s in range(n):
         e = E - v(phases + s * ALPHA)
         M = np.stack([np.stack([e * M[:, 0, 0] - M[:, 1, 0], e * M[:, 0, 1] - M[:, 1, 1]], -1),
                       M[:, 0]], 1)
-        out[s] = logs + np.log(np.linalg.norm(M, 2, axis=(1, 2)))
+        if every_step or s == n - 1:
+            out[s if every_step else 0] = logs + np.log(np.linalg.norm(M, 2, axis=(1, 2)))
         if (s + 1) % 32 == 0:
             scale = np.abs(M).max(axis=(1, 2))
             M /= scale[:, None, None]
             logs += np.log(scale)
-    return out
+    return out if every_step else out[0]
 
 
 # (v, E): in the spectrum and outside it at each coupling
@@ -298,7 +284,7 @@ class TestBlockedScan:
     def test_lyapunov_matches_sequential(self, v, E):
         n, count, x0 = 20000, 16, 0.37
         phases = (x0 + ALPHA * np.arange(count)) % 1.0
-        want = np.mean(log_norms_sequential(E, v, phases, n)[-1]) / n
+        want = np.mean(log_norms_sequential(E, v, phases, n, every_step=False)) / n
         assert lyapunov(E, v, ALPHA, n, count, x0=x0) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("v, E", BATCH_CASES)
@@ -314,9 +300,9 @@ class TestBlockedScan:
         # n below 4 runs as a single block, n = 5 as blocks of 3 and 2 steps
         phases = (0.1 + ALPHA * np.arange(2)) % 1.0
         for n in (1, 2, 3, 5):
-            want = log_norms_sequential(0.4, Potential.amo(0.5), phases, n)
+            want = log_norms_sequential(0.4, Potential.amo(0.5), phases, n, every_step=False)
             assert lyapunov(0.4, Potential.amo(0.5), ALPHA, n, 2, x0=0.1) == pytest.approx(
-                np.mean(want[-1]) / n, rel=1e-13)
+                np.mean(want) / n, rel=1e-13)
 
 
 class TestScanPins:
@@ -364,33 +350,3 @@ class TestGrowthProfile:
     def test_amo_subcritical_loglog_slope(self):
         gp = growth_profile(0.0, Potential.amo(0.5), ALPHA, 4000, 32)
         assert gp.loglog_slope() <= 1.2
-
-
-class TestSolution:
-    def test_boundary_identity(self):
-        for beta in RNG.uniform(0, math.pi, 8):
-            u = solution(beta, 0.7, Potential.amo(0.5), ALPHA, 0.2, 8)
-            u0, u1 = u.boundary_pair()
-            assert abs(u0 * math.cos(beta) + u1 * math.sin(beta)) <= 1e-14
-            assert abs(u0) ** 2 + abs(u1) ** 2 == pytest.approx(1.0, abs=1e-14)
-
-    def test_dirichlet_boundary(self):
-        u = solution(0.0, 1.0, FREE, ALPHA, 0.0, 4)
-        assert u.values[0] == pytest.approx(0.0, abs=1e-15)
-        assert abs(u.values[1]) == pytest.approx(1.0)
-
-    def test_free_rotation_orbit(self):
-        # z = 0, v = 0: u_{j+1} = -u_{j-1}, period 4, |u_j|^2 = 1/2
-        L = 40
-        u = solution(math.pi / 4, 0.0, FREE, ALPHA, 0.0, L)
-        assert u.norm_upto(L) ** 2 == pytest.approx(L / 2, rel=1e-12)
-        assert np.allclose(u.values[4:], u.values[:-4] * -1.0 * -1.0)
-
-    def test_recurrence_residual(self):
-        v = Potential.amo(0.8)
-        z = complex(0.3, 0.2)
-        u = solution(1.1, z, v, ALPHA, 0.37, 50)
-        for j in range(1, 50):
-            res = u.values[j + 1] + u.values[j - 1] + v(0.37 + j * ALPHA) * u.values[j] \
-                - z * u.values[j]
-            assert abs(res) < 1e-12 * max(1.0, abs(u.values[j]))

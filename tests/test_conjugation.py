@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,8 +6,10 @@ from quasispec.arithmetic import resolve_alpha
 from quasispec.cocycle import Potential
 from quasispec.conjugation import (
     BandFunction,
+    MatFunction,
     NotContracting,
     TriangularCocycle,
+    _grid_shift,
     certified_min_abs,
     mat_exp_grid,
     mat_log_grid,
@@ -19,7 +22,6 @@ from quasispec.conjugation import (
 )
 
 ALPHA = resolve_alpha("golden", 40).alpha
-RNG = np.random.default_rng(123)
 
 
 def random_tc(rng, k_max=500):
@@ -66,6 +68,26 @@ class TestTriangularOracle:
             assert np.allclose(X, X.conj().T)
             assert np.linalg.eigvalsh(X).min() > 0
 
+    def test_closed_form_near_resonance_against_50_digits(self):
+        # r alpha - 2 theta = -1.99994: unreduced mod 1, it puts sin(4 pi k
+        # delta) at an argument near -2664, and detX comes out 6.5e-9
+        # relative off
+        theta, x, t = 0.6909543325079294, 0.13186003458458795, \
+            complex(-1.1780460021283718, -0.5729439575892622)
+        tc = TriangularCocycle(theta=theta, alpha=ALPHA, r=-1, t_hat=t, k=106)
+        with mpmath.workdps(50):
+            def step(y):  # T(y), at the float inputs taken exactly
+                return mpmath.matrix([[mpmath.expjpi(2 * mpmath.mpf(theta)),
+                                       mpmath.mpc(t) * mpmath.expjpi(-2 * y)],
+                                      [0, mpmath.expjpi(-2 * mpmath.mpf(theta))]])
+            T, X = step(mpmath.mpf(x)), mpmath.zeros(2, 2)
+            for n in range(1, 2 * tc.k):  # T = T_n = T(x + (n-1) alpha) ... T(x)
+                if n % 2:
+                    X += T.H * T
+                T = step(mpmath.mpf(x) + n * mpmath.mpf(ALPHA)) * T
+            det = mpmath.re(mpmath.det(X))
+        assert abs(tx_closed_form(tc, x).detX - det) < 1e-10 * det
+
     def test_near_degenerate_delta(self):
         # delta within the analytic-limit guard
         theta = 0.5 * (3 * ALPHA - 1e-14)
@@ -103,11 +125,17 @@ class TestBandFunctions:
         for y in (0.0, 0.04, -0.04):
             assert np.max(np.abs(f(xs + 1j * y))) <= f.norm() + 1e-12
 
-    def test_shift_matches_evaluation(self):
+    def test_grid_shift_matches_evaluation(self):
+        # the shift the reduction applies to grid values, B(x + alpha) from
+        # B(x): one band function, and a 2x2 stack of them along axis 0
         f = BandFunction({1: 0.7, -1: 0.7, 3: 0.1j, -3: -0.1j}, band=0.02)
-        g = f.shifted(ALPHA)
-        xs = RNG.uniform(0, 1, 16)
-        assert np.allclose(g(xs), f(xs + ALPHA))
+        xs = np.arange(32) / 32
+        for dx in (ALPHA, -ALPHA):
+            assert np.max(np.abs(_grid_shift(f.to_grid(32), dx) - f(xs + dx))) < 1e-13
+        g = BandFunction({0: 0.3, 2: -0.2j, -2: 0.2j}, band=0.02)
+        m = MatFunction(((f, g), (BandFunction.constant(1.0, 0.02), g)), band=0.02)
+        shifted = _grid_shift(m.eval_grid(32), ALPHA)
+        assert np.max(np.abs(shifted - np.moveaxis(m(xs + ALPHA), -1, 0))) < 1e-13
 
     def test_grid_roundtrip(self):
         f = BandFunction({0: 0.5, 1: 0.2 - 0.1j, -1: 0.2 + 0.1j, 4: 0.01}, band=0.03)

@@ -304,12 +304,6 @@ class TestIds:
         exact = np.array([free_ids_exact(E) for E in tab.energies])
         assert np.max(np.abs(tab.N_values - exact)) < 5e-3
 
-    def test_methods_agree(self):
-        grid = np.linspace(-3.2, 3.2, 161)
-        a = ids(AMO, ALPHA, grid, "finite_box", size=3000)
-        b = ids(AMO, ALPHA, grid, "phase_average", size=800, phases=64)
-        assert np.max(np.abs(a.N_values - b.N_values)) < 2e-2
-
     def test_size_validation(self):
         with pytest.raises(ValueError):
             ids(FREE, ALPHA, np.array([0.0]), size=50)
@@ -317,17 +311,17 @@ class TestIds:
     @pytest.mark.parametrize("grid", [np.linspace(7.0, -7.0, 1401), np.array([-1.0, 0.0, 0.0, 1.0]),
                                       np.array([-1.0, np.nan, 1.0]), np.array([-1.0, np.inf])],
                              ids=["falling", "repeated", "nan", "inf"])
-    @pytest.mark.parametrize("method", ["finite_box", "phase_average"])
+    @pytest.mark.parametrize("method", ["finite_box"])
     def test_grid_must_rise(self, grid, method):
         # a falling grid gave IdsTable.value(0.0) = 0.0 for AMO lambda = 2,
         # where the rising grid reads 0.499
         with pytest.raises(ValueError, match="finite and strictly increasing"):
-            ids(Potential.amo(2.0), ALPHA, grid, method, size=100, phases=2)
+            ids(Potential.amo(2.0), ALPHA, grid, method, size=100)
 
-    def test_phases_validation(self):
-        for phases in (0, -1):
-            with pytest.raises(ValueError, match="phases must be >= 1"):
-                ids(FREE, ALPHA, np.array([0.0]), "phase_average", size=100, phases=phases)
+    @pytest.mark.parametrize("method", ["phase_average", "finite-box"])
+    def test_finite_box_is_the_one_method(self, method):
+        with pytest.raises(ValueError, match="'finite_box'"):
+            ids(FREE, ALPHA, np.array([0.0]), method, size=100)
 
 
 class TestThouless:

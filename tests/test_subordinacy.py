@@ -7,7 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from quasispec import subordinacy, weyl
 from quasispec.arithmetic import resolve_alpha
-from quasispec.cocycle import Potential, orbit, solution, solution_norm_sq_batch
+from quasispec.cocycle import Potential, orbit, solution_norm_sq_batch
 from quasispec.subordinacy import (
     JL_LOWER,
     JL_UPPER,
@@ -26,6 +26,18 @@ from quasispec.weyl import NoConvergence, m_plus, psi, rotate_beta
 ALPHA = resolve_alpha("golden", 40).alpha
 FREE = Potential.zero()
 AMO = Potential.amo(0.5)
+
+
+def solution_values(beta, E, v, alpha, x, L):
+    """u_0 .. u_L of H u = E u at real E, one step at a time from the
+    boundary pair (u_0, u_1) = (-sin beta, cos beta): the reference for
+    the P-matrix quadratic form."""
+    u = np.empty(L + 1)
+    u[0] = -math.sin(beta)
+    u[1] = math.cos(beta)
+    for j, e in enumerate(E - v(orbit(x, alpha, 1, L)), start=1):  # sites 1 .. L-1
+        u[j + 1] = e * u[j] - u[j - 1]
+    return u
 
 
 class TestPMatrix:
@@ -47,10 +59,10 @@ class TestPMatrix:
         E, x = 0.4, 0.17
         pm = p_matrix(E, AMO, ALPHA, x, k)
         for beta in (0.0, 0.9, 2.2):
-            u = solution(beta, E, AMO, ALPHA, x, 2 * k)
-            vec = np.array([u.values[1], u.values[0]])
+            u = solution_values(beta, E, AMO, ALPHA, x, 2 * k)
+            vec = np.array([u[1], u[0]])
             q = float(vec @ pm.entries @ vec)
-            assert q == pytest.approx(u.norm_upto(2 * k) ** 2, rel=1e-9)
+            assert q == pytest.approx(math.sqrt(np.sum(u[1:2 * k + 1] ** 2)) ** 2, rel=1e-9)
 
     def test_free_rotation_exact(self):
         # A is a rotation at E=0, v=0: P_(k) = k * Id exactly
