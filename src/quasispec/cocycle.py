@@ -4,7 +4,9 @@ Lyapunov exponents.
 The cocycle over the circle rotation by alpha is (x, w) -> (x + alpha,
 A(x) w) with the companion step A(x) = [[z - v(x), -1], [1, 0]].  Site
 phases x + n alpha come from one sampler, ``orbit``, and are reduced
-mod 1; ``site_rows`` turns its phases at block starts by t alpha with a
+mod 1: ``iterate`` samples its sites there, the Lyapunov products one
+column per phase of their grid, and ``site_rows``, the m-function
+walk's sampler, turns its phases at block starts by t alpha with a
 table, giving the potential row by row without a cosine per site.
 Ordered products A_n(x) = A(x+(n-1)alpha) ... A(x) come from one
 scan, ``companion_scan``, which multiplies the steps onto a (2, 2, ...)
@@ -134,14 +136,18 @@ class Potential:
         return f"Potential.trig({self.coeffs})"
 
 
-def orbit(theta: float, alpha: float, lo: int, hi: int, stride: int = 1) -> np.ndarray:
+def orbit(theta, alpha: float, lo: int, hi: int, stride: int = 1) -> np.ndarray:
     """Phases theta + n alpha mod 1 of the sites n = lo, lo + stride, ...
     below hi: the one sampler of the rotation orbit, so every caller sees
     the same site phases (reduced mod 1, where the potential is
-    periodic)."""
+    periodic).  For an array of start phases theta the result has one
+    column per phase, each equal to that phase's own orbit bit for bit."""
     x = np.arange(lo, hi, stride, dtype=float)  # in place below: two arrays at most
     x *= alpha
-    x += theta
+    if np.ndim(theta):
+        x = x[:, None] + theta
+    else:
+        x += theta
     x -= np.floor(x)  # exactly x % 1.0, at a tenth of its cost
     return x
 
@@ -199,18 +205,16 @@ def iterate(z, v: Potential, alpha: float, x: float, n: int) -> tuple[np.ndarray
     The steps are one block of ``block_totals``, normalised by ``_norm``.
     Negative n follows the cocycle power definition
     A_{-n}(x) = A_n(x - n alpha)^{-1}: the adjugate of the forward
-    product from x + n alpha, which has det 1 and the same norm.  The
-    energy must be real.
+    product over the sites n .. -1 of ``orbit``, which has det 1 and the
+    same norm.  The energy must be real.
     """
     z = complex(z)
     if z.imag != 0.0:
         raise ValueError(f"iterate needs a real energy, got {z}")
-    if n < 0:
-        m, log_scale = iterate(z, v, alpha, x + n * alpha, -n)
-        return adjugate(m), log_scale
-    m, ex = block_totals(z.real - v(orbit(x, alpha, 0, n)), ())
+    m, ex = block_totals(z.real - v(orbit(x, alpha, min(n, 0), max(n, 0))), ())
     nrm = _norm(m)
-    return m / nrm, float(ex * LN2 + np.log(nrm))
+    m = m / nrm
+    return adjugate(m) if n < 0 else m, float(ex * LN2 + np.log(nrm))
 
 
 def _phase_batch(x0: float, alpha: float, count: int, grid: str) -> np.ndarray:
@@ -371,7 +375,8 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
     The n steps run as a two-level blocked scan over B = block_count(n,
     len(phases)) blocks of S = ceil(n / B) steps, so no Python loop is
     longer than about sqrt(n) and the potential is sampled once per block
-    row (one step of every block), never once per step:
+    row, never once per step: step t of blocks i, i + 1, ... is v at the
+    ``orbit`` sites i S + t, (i + 1) S + t, ... of every phase.
 
     1. the totals of the B - 1 full blocks, and
     2. their log-depth prefix product, every block's starting product
@@ -389,12 +394,11 @@ def _batched_log_norms(E, v, alpha, phases, n, keep_all=False):
     B = block_count(n, P)
     S = -(-n // B)
 
-    def rows(blocks, steps):
+    def rows(blocks, steps):  # step t of every block in the range ``blocks``
         if not blocks:
             return
-        first = np.asarray(blocks)[:, None] * S
         for t in range(steps):
-            yield E - v(phases + (first + t) * alpha)
+            yield E - v(orbit(phases, alpha, blocks.start * S + t, blocks.stop * S, S))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # 1-2. block totals, folded into block starts

@@ -302,11 +302,6 @@ def _pair_products(betas: np.ndarray, pq: np.ndarray) -> np.ndarray:
     return np.prod(np.einsum("...j,...j->...", u, u), axis=0)
 
 
-def _beta_products(betas: np.ndarray, E, v, alpha, x, L) -> np.ndarray:
-    """||u^beta||_L^2 * ||u^{beta+pi/2}||_L^2 over a batch of betas."""
-    return _pair_products(betas, _solution_pair(E, v, alpha, x, L))
-
-
 def det_via_beta_scan(E: float, v: Potential, alpha: float, x: float, k: int,
                       grid: int = 256, full_output: bool = False):
     """Independent oracle for det P_(k): minimize the product

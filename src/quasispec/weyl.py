@@ -15,20 +15,19 @@ Euclidean check, with no Weyl-disk bookkeeping).  That seed residual is
 a stopping rule, not an error bound: the value can be several times tol
 away from the limit.  The depth scales like O((1/Im z) ln(1/tol)).
 
-The site phases theta + n alpha come from ``cocycle.orbit``, reduced
-mod 1.  Sites 1..1024 are sampled one by one; every site past 1024
-comes from ``cocycle.site_rows``, which turns each sub-block's start
-phase by t alpha with a table of e^{2 pi i k alpha t}: one complex
-multiply per mode and site, and no cosine.  Both samplers carry the
-float orbit's phase error, about n 1e-16 at site n (up to ~1e-9 in v
-near n = 2**21), and a row adds at most 1e-14 to the error of its
-sub-block's start.  The N steps are the Moebius action of the product
-of the step matrices [[0, -1], [1, z - v_n]], which is [[d, b], [c, a]]
-for the companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n =
-[[z - v_n, -1], [1, 0]]: the same scan, ``cocycle.companion_scan``
-behind ``cocycle.block_totals``, as the Sturm counts, the Lyapunov
-products, ``iterate`` and the P-ladder, and its (2, 2, lanes,
-sub-blocks) stacks are multiplied out with ``cocycle.stack_mul``.
+Every site comes from ``cocycle.site_rows``, which turns each
+sub-block's start phase theta + n alpha (from ``cocycle.orbit``,
+reduced mod 1) by t alpha with a table of e^{2 pi i k alpha t}: one
+complex multiply per mode and site, and no cosine.  A row carries the
+float orbit's phase error at its sub-block's start, about n 1e-16 at
+site n (up to ~1e-9 in v near n = 2**21), and adds at most 1e-14 to
+it.  The N steps are the Moebius action of the product of the step
+matrices [[0, -1], [1, z - v_n]], which is [[d, b], [c, a]] for the
+companion-step product [[a, b], [c, d]] = T_N ... T_1, T_n = [[z - v_n,
+-1], [1, 0]]: the same scan, ``cocycle.companion_scan`` behind
+``cocycle.block_totals``, as the Sturm counts, the Lyapunov products,
+``iterate`` and the P-ladder, and its (2, 2, lanes, sub-blocks) stacks
+are multiplied out with ``cocycle.stack_mul``.
 
 One walk serves many z ("lanes", ``m_plus_lanes``): ``subordinacy.profile``
 runs every kept eps_k of a ladder in it, and ``_m_triples`` (behind
@@ -82,7 +81,7 @@ from .cocycle import (RESCALE_EVERY, Potential, block_totals, normalize_stack, o
 DEPTH_CAP_DEFAULT = 10**7
 _ROW = 1 << 12  # lane x sub-block values per scan step: one 64 KB buffer of step values
 _SUB = 1 << 10  # sub-blocks per chunk at most: wider few-lane rows raised peak RSS
-_FIRST = 1024  # the first walk's reach at most, and the last site sampled one by one
+_FIRST = 1024  # the first walk's reach at most
 
 
 class NoConvergence(RuntimeError):
@@ -190,17 +189,13 @@ def _block_products(zs, v, theta, alpha, every: int, lo: int, hi: int):
     ``block_totals`` runs all sub-blocks of a chunk as one (lanes,
     sub-blocks) scan, rescaled every ``every`` steps, its step values
     z - v written one step at a time into one (lanes, sub-blocks) buffer
-    as the scan reads them.  Sites up to ``_FIRST`` are sampled one by
-    one (``orbit``); past it, each step's row over the sub-blocks comes
-    from ``site_rows``, with no cosine per site.  Both carry the float
-    orbit's phase error of about n 1e-16 at site n; a row is within
-    1e-14 of v at its sub-block's start phase turned by t alpha, so the
-    two samplers differ by the orbit's rounding at the two phases.  Which
-    sampler a site gets depends on its position only, since a block
-    either ends by ``_FIRST`` or starts past it.  ``_fold`` then
-    multiplies the sub-block totals out.  A chunk is the largest power of
-    two of sub-blocks, aligned at ``lo``, with at most ``_ROW`` values per
-    step over all lanes and at most ``_SUB`` sub-blocks; by alignment each
+    as the scan reads them.  Each step's row over the sub-blocks comes
+    from ``site_rows``, with no cosine per site: within 1e-14 of v at
+    its sub-block's start phase (the float orbit's, off by about n 1e-16
+    at site n) turned by t alpha.  ``_fold`` then multiplies the
+    sub-block totals out.  A chunk is the largest power of two of
+    sub-blocks, aligned at ``lo``, with at most ``_ROW`` values per step
+    over all lanes and at most ``_SUB`` sub-blocks; by alignment each
     chunk's fold is a node of the fold over the whole block, and a lane's
     products depend neither on how many lanes walk with it nor on
     ``_ROW`` or ``_SUB``.
@@ -213,12 +208,8 @@ def _block_products(zs, v, theta, alpha, every: int, lo: int, hi: int):
     def totals(first, count, steps):
         """Normalised totals of ``count`` sub-blocks of ``steps`` sites
         from site ``first``, as (2, 2, lanes, count)."""
-        if first > _FIRST:
-            vals = site_rows(v, theta, alpha, range(first, first + count * steps, steps), steps)
-        else:
-            vals = np.ascontiguousarray(
-                v(orbit(theta, alpha, first, first + count * steps)).reshape(count, steps).T)
-        x, _ = block_totals(_step_values(zs, vals, count), (len(zs), count), complex, every)
+        rows = site_rows(v, theta, alpha, range(first, first + count * steps, steps), steps)
+        x, _ = block_totals(_step_values(zs, rows, count), (len(zs), count), complex, every)
         normalize_stack(x)
         return x
 
@@ -238,20 +229,22 @@ def _block_products(zs, v, theta, alpha, every: int, lo: int, hi: int):
     return np.minimum(S << np.arange(len(nodes)), hi - lo), nodes
 
 
-def _halfline_m(zs, v, theta, alpha, tol, depth_cap):
-    """Backward coefficient-stripping recursion with two-seed control,
-    for every lane z in ``zs`` along one walk of the sites n = 1, 2, ...
-    with potential v(theta + n alpha).  All lanes share the depth
-    schedule 64, 128, ..., ``depth_cap`` (the one depth ``depth_cap`` when
-    it is below 64); each retires at the first depth where its seeds agree.
-    The first walk reaches about the depth the deepest lane needs, up to
+def m_plus_lanes(zs, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
+                 depth_cap: int = DEPTH_CAP_DEFAULT):
+    """``m_plus`` at every z in ``zs`` along one walk of the sites n = 1,
+    2, ... with potential v(theta + n alpha): the backward
+    coefficient-stripping recursion with two-seed control, each site
+    sampled once for all lanes, and each value equal to its own
+    ``m_plus`` bit for bit.  All lanes share the depth schedule 64, 128,
+    ..., ``depth_cap`` (the one depth ``depth_cap`` when it is below 64);
+    each retires at the first depth where its seeds agree.  The first
+    walk reaches about the depth the deepest lane needs, up to
     ``_FIRST``, and its depths are checked on the prefix nodes of one
     fold, which are bit for bit the products the doubling would form.
     The scan's rescaling interval is set once, from max |z| + the
-    coefficient bound ``v.sup_bound()`` on |v|.
-    Returns (m, est_error, depth) arrays, one entry per lane.  A settled
-    value with Im m <= 0 (Im z so small that rounding took it) raises
-    NoConvergence naming z.
+    coefficient bound ``v.sup_bound()`` on |v|.  Returns (m, est_error,
+    depth) arrays, one entry per lane.  A settled value with Im m <= 0
+    (Im z so small that rounding took it) raises NoConvergence naming z.
     """
     zs = np.array([_require_upper(z) for z in zs], dtype=complex)
     if not tol > 0:
@@ -338,14 +331,6 @@ def m_plus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
     m, est, depth = m_plus_lanes([z], v, alpha, theta, tol, depth_cap)
     m, est, depth = complex(m[0]), float(est[0]), int(depth[0])
     return (m, est, depth) if full_output else m
-
-
-def m_plus_lanes(zs, v: Potential, alpha: float, theta: float, tol: float = 1e-8,
-                 depth_cap: int = DEPTH_CAP_DEFAULT):
-    """``m_plus`` at every z in ``zs`` along one walk of the sites: each
-    site is sampled once for all of them, and each value equals its own
-    ``m_plus`` bit for bit.  Returns (m, est_error, depth) arrays."""
-    return _halfline_m(zs, v, theta, alpha, tol, depth_cap)
 
 
 def m_minus(z, v: Potential, alpha: float, theta: float, tol: float = 1e-8,

@@ -186,6 +186,14 @@ class TestOrbit:
     def test_stride_takes_every_stride_th_site(self):
         assert np.array_equal(orbit(0.21, ALPHA, 1025, 9000, 32), orbit(0.21, ALPHA, 1025, 9000)[::32])
 
+    def test_phase_array_is_one_orbit_per_column(self):
+        # the Lyapunov scan samples every phase of its grid in one call
+        phases = np.array([0.0, 0.37, 0.999, 0.5 + 2**-40])
+        xs = orbit(phases, ALPHA, -7, 20000, 13)
+        assert xs.shape == (len(range(-7, 20000, 13)), len(phases))
+        for j, theta in enumerate(phases):
+            assert xs[:, j].tobytes() == orbit(theta, ALPHA, -7, 20000, 13).tobytes()
+
 
 def _mp_potential(v, x):
     """v at the mpf phase x from its modes k >= 0, in the working precision."""
@@ -204,17 +212,18 @@ class TestSiteRows:
 
     @pytest.mark.parametrize("name", list(POTENTIALS))
     def test_against_mpmath(self, name):
-        # 64 row starts 32 apart just past site 1024 and just below 2**21,
-        # against v(theta + n alpha) in 40 digits.  Each row is within
-        # 1e-14 of v at its start's float orbit phase plus t alpha, and so
-        # no further from the exact value than the float orbit's phase
-        # error in the window allows, which is the per-site sample's error
+        # 64 row starts 32 apart from site 1 (the first sites an m+- walk
+        # reads), just past site 1024 and just below 2**21, against
+        # v(theta + n alpha) in 40 digits.  Each row is within 1e-14 of v
+        # at its start's float orbit phase plus t alpha, and so no further
+        # from the exact value than the float orbit's phase error in the
+        # window allows, which is the per-site sample's error
         # (up to ~3e-9 in v at 2**21).  Row-by-row maxima of the two
         # samplers' errors are two independent roundings of that size, and
         # either can be the larger.
         v, theta, steps, count = self.POTENTIALS[name], 0.21, 32, 64
         slope = 2 * math.pi * sum(abs(k * c) for k, c in v.coeffs.items())  # >= sup |v'|
-        for lo in (1025, 2**21 - steps * count):
+        for lo in (1, 1025, 2**21 - steps * count):
             starts = range(lo, lo + steps * count, steps)
             rows = np.array(list(site_rows(v, theta, ALPHA, starts, steps)))
             phases = orbit(theta, ALPHA, lo, starts.stop)
@@ -262,7 +271,8 @@ def log_norms_sequential(E, v, phases, n, every_step=True):
     logs = np.zeros(len(phases))
     out = np.empty((n if every_step else 1, len(phases)))
     for s in range(n):
-        e = E - v(phases + s * ALPHA)
+        x = s * ALPHA + phases  # the site phases of ``orbit``, reduced mod 1
+        e = E - v(x - np.floor(x))
         M = np.stack([np.stack([e * M[:, 0, 0] - M[:, 1, 0], e * M[:, 0, 1] - M[:, 1, 1]], -1),
                       M[:, 0]], 1)
         if every_step or s == n - 1:
@@ -314,8 +324,8 @@ class TestScanPins:
         got = [lyapunov(E, v, ALPHA, 20000, 16, grid=grid).hex()
                for v, E in ((Potential.amo(0.5), 0.7), (Potential.amo(2.0), 5.0))
                for grid in ("orbit", "uniform")]
-        assert got == ["0x1.092ee2cf67d71p-2", "0x1.092eebc8fffd2p-2",
-                       "0x1.4dc6d73ebf8fep+0", "0x1.4dc6c5093f6d3p+0"]
+        assert got == ["0x1.092ee2cf67d71p-2", "0x1.092eebc8fffd0p-2",
+                       "0x1.4dc6d73ebf8fep+0", "0x1.4dc6c5093f6d1p+0"]
 
     def test_iterate_forward_and_backward(self):
         got = {n: [t.hex() for t in (*m.ravel(), s)]
@@ -323,8 +333,8 @@ class TestScanPins:
         assert got == {
             257: ["-0x1.47aace441d516p-5", "0x1.cecb88ab79a29p-8", "0x1.f7c94c880f30ap-1",
                   "-0x1.63c5b3fe40bcep-3", "0x1.aebe2ea214614p+3"],
-            -257: ["-0x1.3084062aefd86p-4", "0x1.c6a945ec572bfp-1", "0x1.36216c9ce508fp-5",
-                   "-0x1.cf0b6709ed4b5p-2", "0x1.ae23707f07c07p+3"]}
+            -257: ["-0x1.3084062aeec97p-4", "0x1.c6a945ec57adep-1", "0x1.36216c9ce2521p-5",
+                   "-0x1.cf0b6709eb5f4p-2", "0x1.ae23707f07c90p+3"]}
 
     def test_growth_profile_within_one_ulp(self):
         # 3001 steps as 54 blocks of 56: entries 31 and 87 are steps where
@@ -332,9 +342,9 @@ class TestScanPins:
         log_sup = growth_profile(0.7, Potential.amo(0.5), ALPHA, 3001, 32, x0=0.11).log_sup
         idx = [0, 31, 55, 56, 87, 1000, 3000]
         want = np.array([float.fromhex(h) for h in (
-            "0x1.8a01e68f5c897p-1", "0x1.1fcdcbcf26be5p+3", "0x1.dff518348e618p+3",
-            "0x1.e2cd913ee1004p+3", "0x1.72718429ef48cp+4", "0x1.03cdf3fcd0aa2p+8",
-            "0x1.84ea289b44390p+9")])
+            "0x1.8a01e68f5c897p-1", "0x1.1fcdcbcf26be7p+3", "0x1.dff518348e61cp+3",
+            "0x1.e2cd913ee100ap+3", "0x1.72718429ef488p+4", "0x1.03cdf3fcd0a97p+8",
+            "0x1.84ea289b443abp+9")])
         assert np.all(np.abs(log_sup[idx] - want) <= np.spacing(want))
 
 

@@ -13,8 +13,9 @@ from quasispec.subordinacy import (
     JL_UPPER,
     KKL_LOWER,
     KKL_UPPER,
-    _beta_products,
     _p_entries_upto,
+    _pair_products,
+    _solution_pair,
     default_k_list,
     det_via_beta_scan,
     jl_bracket_check,
@@ -190,7 +191,8 @@ class TestDetBetaScan:
         _, beta_min = det_via_beta_scan(E, AMO, ALPHA, x, k, full_output=True)
         h = 1e-5
         # each factor of the product is critical at the eigen-directions
-        s = lambda b: float(_beta_products(np.array([b]), E, AMO, ALPHA, x, 2 * k)[0])
+        pq = _solution_pair(E, AMO, ALPHA, x, 2 * k)
+        s = lambda b: float(_pair_products(np.array([b]), pq)[0])
         dq = (s(beta_min + h) - s(beta_min - h)) / (2 * h)
         assert abs(dq) / s(beta_min) < 1e-4
 
@@ -215,7 +217,7 @@ class TestDetBetaScan:
         s, c = np.sin(betas), np.cos(betas)
         ref = (solution_norm_sq_batch(-s, c, E, AMO, ALPHA, x, 2 * k)
                * solution_norm_sq_batch(-c, -s, E, AMO, ALPHA, x, 2 * k))
-        got = _beta_products(betas, E, AMO, ALPHA, x, 2 * k)
+        got = _pair_products(betas, _solution_pair(E, AMO, ALPHA, x, 2 * k))
         assert np.max(np.abs(got / ref - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
@@ -284,15 +286,16 @@ class TestProfile:
                     assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel)
 
     def test_walk_lanes_match_mpmath(self):
-        # the k = 37 lane of the ladder below, and a lane that settles at
-        # depth 8192, against the backward recursion from seed i to the
-        # same depth in 30 digits, on the phases theta + n alpha of the
-        # binary floats theta and alpha
+        # the k = 37 lane of the ladder below, a lane that settles at depth
+        # 8192 and one that settles at 128 (all its sites below 1024),
+        # against the backward recursion from seed i to the same depth in
+        # 30 digits, on the phases theta + n alpha of the binary floats
+        # theta and alpha
         theta, lam = 0.21, 0.5
         eps37 = subordinacy._eps(_p_entries_upto(0.3, AMO, ALPHA, theta, [37])[37][3])
-        zs = [complex(0.3, eps37), complex(0.3, 1e-3)]
+        zs = [complex(0.3, eps37), complex(0.3, 1e-3), complex(0.3, 0.1)]
         m, _, depth = weyl.m_plus_lanes(zs, Potential.amo(lam), ALPHA, theta, 1e-8)
-        assert depth.tolist() == [2048, 8192]
+        assert depth.tolist() == [2048, 8192, 128]
         with mpmath.workdps(30):
             th, al = mpmath.mpf(theta), mpmath.mpf(ALPHA)
             for z, got, n_max in zip(zs, m, depth):
@@ -308,11 +311,11 @@ class TestProfile:
         rows = {row.k: [getattr(row, name).hex() for name in self.ROW_FIELDS]
                 for row in prof.rows}
         assert rows[37] == ["0x1.99616a5ffe010p+9", "0x1.820fa5785b01fp+13",
-                            "0x1.26d02d5ef4bebp-8", "0x1.e2ba75d12eacdp+2",
-                            "0x1.0620081962d13p+0", "0x1.e822bade00553p-3"]
+                            "0x1.26d02d5ef4bebp-8", "0x1.e2ba75d12e7aep+2",
+                            "0x1.0620081962b61p+0", "0x1.e822bade00553p-3"]
         assert rows[6000] == ["0x1.0c6d0cee00ba3p+17", "0x1.3eac2b11c849dp+28",
-                              "0x1.cae648a48c785p-16", "0x1.e15398b622ae6p+2",
-                              "0x1.0014c4d3db1a8p+0", "0x1.40d821cbe97f4p-17"]
+                              "0x1.cae648a48c785p-16", "0x1.e15398b61c78fp+2",
+                              "0x1.0014c4d3d7ccep+0", "0x1.40d821cbe97f4p-17"]
         pm = p_matrix(0.3, AMO, ALPHA, 0.21, 6000)  # the same ladder
         assert [t.hex() for t in (*pm.entries.ravel()[[0, 1, 3]], pm.log_det)] == [
             "0x1.374310eb9e1bbp+16", "0x1.04e974aa0009fp+16", "0x1.d62ccc6881118p+15",
@@ -397,13 +400,13 @@ class TestBracketCheck:
         # m+ at eps and at kkl_eps are two lanes of one walk, and each lane
         # equals its own m_plus bit for bit
         calls = []
-        walk = weyl._halfline_m
+        walk = subordinacy.m_plus_lanes
 
         def counted(zs, *args):
             calls.append(list(zs))
             return walk(zs, *args)
 
-        monkeypatch.setattr(weyl, "_halfline_m", counted)
+        monkeypatch.setattr(subordinacy, "m_plus_lanes", counted)
         E, theta, beta, k = 0.3, 0.61, 0.4, 25
         rec = jl_bracket_check(E, AMO, ALPHA, theta, beta, k, tol=1e-9)
         assert calls == [[complex(E, rec.eps), complex(E, rec.kkl_eps)]]

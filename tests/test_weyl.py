@@ -219,13 +219,13 @@ class TestMTriple:
         # an eps ladder as lanes: one m+ walk and one m- walk for all of
         # it, each triple equal to its own m+ and m- assembled per z
         walks = []
-        walk = weyl._halfline_m
+        walk = weyl.m_plus_lanes
 
         def counted(zs, *args):
             walks.append(len(zs))
             return walk(zs, *args)
 
-        monkeypatch.setattr(weyl, "_halfline_m", counted)
+        monkeypatch.setattr(weyl, "m_plus_lanes", counted)
         v, theta = Potential.amo(0.5), 0.31
         zs = [complex(0.0, e) for e in np.geomspace(1e-4, 1e-1, 16)]
         triples = weyl._m_triples(zs, v, ALPHA, theta, 1e-8, weyl.DEPTH_CAP_DEFAULT)
