@@ -21,11 +21,19 @@ product-returning routine reports the accumulated log scale, so the
 exact product is exp(log_scale) * matrix.  Matrices are
 plain 2x2 ndarrays, and stacks of them (2, 2, ...) ndarrays.
 
+The solution recurrence u_{j+1} = (E - v(x + j alpha)) u_j - u_{j-1}
+is walked in one place, ``solution_pair``, for the two solutions p and
+q behind every boundary pair: the det P_(k) oracle combines them by
+angle, and ``solution_norm_sq_batch`` (the norms of the
+Jitomirskaya-Last bracket) as u = u_1 p - u_0 q.
+
 The small algebra the other modules share is written here once: the
 Fourier mode sum and strip majorant of a mode table (``mode_sum``,
-``strip_majorant``), and the product, adjugate and power-of-two
-normaliser of stacks of 2x2 matrices (``stack_mul``, ``adjugate``,
-``normalize_stack``).
+``strip_majorant``), the product, adjugate and power-of-two normaliser
+of stacks of 2x2 matrices (``stack_mul``, ``adjugate``,
+``normalize_stack``), the eigenvalues of a Hermitian 2x2 matrix
+(``herm_eigs``), and the budget of values one vectorised step touches
+(``ROW_BUDGET``).
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ import numpy as np
 
 RESCALE_EVERY = 32
 LN2 = math.log(2.0)
+# values one vectorised step or sampling piece touches at most (32 KB of
+# floats): it sets the block counts of the Lyapunov and Sturm scans, the
+# m-function walk's chunk and the P-ladder's sampling piece
+ROW_BUDGET = 1 << 12
 
 
 def mode_sum(coeffs: dict, x):
@@ -86,7 +98,7 @@ class Potential:
         # v(x) = c_0 + sum_{k > 0} 2 Re c_k cos(2 pi k x) - 2 Im c_k sin(2 pi k x)
         self._waves = [(2 * np.pi * k, 2 * c.real, 2 * c.imag)
                        for k, c in sorted(coeffs.items()) if k > 0]
-        self._sup = sum(map(abs, coeffs.values()), 0.0)  # the strip majorant at band 0
+        self._sup = sum(map(abs, coeffs.values()), 0.0)
 
     @classmethod
     def amo(cls, lam: float) -> "Potential":
@@ -124,11 +136,9 @@ class Potential:
             out += self._c0
         return out
 
-    def sup_bound(self, band: float = 0.0) -> float:
-        """Coefficient majorant for sup of |v| on the strip |Im x| <= band."""
-        if band == 0.0:  # on the real axis, where every m-function walk asks
-            return self._sup
-        return float(strip_majorant(list(self.coeffs), list(self.coeffs.values()), band))
+    def sup_bound(self) -> float:
+        """Coefficient majorant sum |c_k| for sup of |v| on the real axis."""
+        return self._sup
 
     def __repr__(self):
         if self.variant == "amo":
@@ -229,12 +239,12 @@ def block_count(n: int, width: int) -> int:
     """Blocks for a two-level scan of n sequential steps over ``width``
     independent lanes: about sqrt(n), so the in-block loops are ~sqrt(n)
     long (the fold over the blocks, ``block_starts``, is log-depth),
-    capped so one step of every block touches at most 2**12 values.  1
-    when the cap leaves no room for more: a step over that many values
-    already costs far more than its Python overhead, so blocking would
-    only add the block-total pass.  (A 2**14
+    capped so one step of every block touches at most ``ROW_BUDGET``
+    values.  1 when the cap leaves no room for more: a step over that
+    many values already costs far more than its Python overhead, so
+    blocking would only add the block-total pass.  (A 2**14
     cap measured no faster and held up to 1 MB more in temporaries.)"""
-    return max(1, min(math.isqrt(n), 2**12 // max(width, 1)))
+    return max(1, min(math.isqrt(n), ROW_BUDGET // max(width, 1)))
 
 
 def companion_scan(rows, x, every=RESCALE_EVERY):
@@ -475,13 +485,35 @@ def growth_profile(E: float, v: Potential, alpha: float, s_max: int,
                          phase_count=phase_grid)
 
 
+def solution_pair(E: float, v: Potential, alpha: float, x: float, L: int) -> np.ndarray:
+    """u_1 .. u_L of the solutions p and q with (u_0, u_1) = (0, 1) and
+    (-1, 0), as the rows of a (2, L) array: one pass of the recurrence
+    u_{j+1} = (E - v(x + j alpha)) u_j - u_{j-1} over sites sampled once,
+    the one solution walk of the package."""
+    u = [(0.0, -1.0), (1.0, 0.0)]  # (p_j, q_j) at j = 0, 1
+    for e in (E - v(orbit(x, alpha, 1, L))).tolist():  # sites 1 .. L-1
+        (p0, q0), (p1, q1) = u[-2:]
+        u.append((e * p1 - p0, e * q1 - q0))
+    return np.array(u[1:]).T
+
+
 def solution_norm_sq_batch(u0: np.ndarray, u1: np.ndarray, E: float, v: Potential,
                            alpha: float, x: float, L: int) -> np.ndarray:
-    """sum_{j=1}^{L} u_j^2 for a batch of real boundary pairs at real energy."""
-    prev = np.array(u0, dtype=float)
-    cur = np.array(u1, dtype=float)
-    acc = cur * cur
-    for e in E - v(orbit(x, alpha, 1, L)):  # sites 1 .. L-1
-        prev, cur = cur, e * cur - prev
-        acc += cur * cur
-    return acc
+    """sum_{j=1}^{L} u_j^2 for a batch of real boundary pairs (u_0, u_1)
+    at real energy: by linearity u = u_1 p - u_0 q from one
+    ``solution_pair`` walk, each norm a sum of squares over the sites of
+    its own row, so a pair's norm does not depend on the rest of the
+    batch."""
+    p, q = solution_pair(E, v, alpha, x, L)
+    u = np.multiply.outer(np.asarray(u1, dtype=float), p)
+    u -= np.multiply.outer(np.asarray(u0, dtype=float), q)
+    return np.einsum("...j,...j->...", u, u)
+
+
+def herm_eigs(a: float, b: complex, d: float) -> tuple[float, float]:
+    """Eigenvalues (low, high) of the Hermitian matrix [[a, b], [b*, d]]
+    (a and d real): (a + d) / 2 -+ hypot((a - d) / 2, |b|), with no entry
+    squared, so entries up to ~1e307 do not overflow."""
+    half = 0.5 * a + 0.5 * d
+    disc = math.hypot(0.5 * a - 0.5 * d, abs(b))
+    return half - disc, half + disc

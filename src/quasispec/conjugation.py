@@ -5,8 +5,7 @@ Band norms are the Fourier-coefficient majorant sum |f_k| e^{2 pi eps |k|}
 (``cocycle.strip_majorant``, as are the mode sum and the 2x2 adjugate),
 an upper bound for the sup of |f| on the strip |Im x| <= eps that is
 exact to compute for trigonometric polynomials; all contraction
-arguments survive under any submultiplicative dominating norm.  The
-sup on a real grid is also available for diagnostics.
+arguments survive under any submultiplicative dominating norm.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import torus_norm
-from .cocycle import Potential, adjugate, mode_sum, strip_majorant
+from .cocycle import Potential, adjugate, herm_eigs, mode_sum, strip_majorant
 
 MODE_DROP_REL = 1e-16
 LOG_GUARD = math.log(2.0)
@@ -121,14 +120,6 @@ class MatFunction:
         ent = tuple(tuple(BandFunction.from_grid(values[:, i, j], band, rel)
                           for j in range(2)) for i in range(2))
         return cls(ent, band)
-
-
-def schrodinger_matfunction(p: Potential, band: float) -> MatFunction:
-    """The cocycle map [[p(x), -1], [1, 0]] as a MatFunction."""
-    return MatFunction((
-        (BandFunction(dict(p.coeffs), band), BandFunction.constant(-1.0, band)),
-        (BandFunction.constant(1.0, band), BandFunction.constant(0.0, band)),
-    ), band)
 
 
 def certified_min_abs(p: Potential, band: float, grid: int = 4096) -> float:
@@ -234,10 +225,8 @@ class TXRecord:
 def _tx_record(k: int, x1: complex, x2: float) -> TXRecord:
     # det(T* T) = |det T|^2 = 1: exact at k = 1, no roundoff allowed through
     det = 1.0 if k == 1 else k * x2 - abs(x1) ** 2
-    half = 0.5 * (k + x2)
-    disc = math.sqrt(max(0.25 * (k - x2) ** 2 + abs(x1) ** 2, 0.0))
-    return TXRecord(x1=x1, x2=x2, detX=det, normX=half + disc,
-                    invnormX=max(half - disc, 0.0))
+    low, high = herm_eigs(k, x1, x2)
+    return TXRecord(x1=x1, x2=x2, detX=det, normX=high, invnormX=max(low, 0.0))
 
 
 def tx_closed_form(tc: TriangularCocycle, x: float) -> TXRecord:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Potential, block_starts, orbit
+from .cocycle import ROW_BUDGET, Potential, block_starts, orbit
 from .weyl import DEPTH_CAP_DEFAULT, _m_triples
 
 
@@ -54,11 +54,11 @@ def sturm_counts(diag: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     NaN energies, and short grids, are all scanned.
 
     Each scan (``_pivot_scan``) is a two-level blocked scan over B blocks
-    of S = ceil(N / B) sites, B about min(N / 16, 2**12 / len(E)) for the
-    len(E) energies of that scan, and 1 where that is below 8 (the block
-    passes then cost more than they save).  So a scan of a few energies
-    has Python loops of a few dozen steps, and one step of every block
-    touches at most 2**12 values:
+    of S = ceil(N / B) sites, B about min(N / 16, ``cocycle.ROW_BUDGET`` /
+    len(E)) for the len(E) energies of that scan, and 1 where that is
+    below 8 (the block passes then cost more than they save).  So a scan
+    of a few energies has Python loops of a few dozen steps, and one step
+    of every block touches at most ``ROW_BUDGET`` (4096) values:
 
     1. the pivot map of each block is a Moebius map, the product of its
        companion steps [[a_j - E, -1], [1, 0]] (``cocycle.block_totals``);
@@ -128,7 +128,7 @@ def _pivot_scan(a: np.ndarray, E: np.ndarray, blocked: bool) -> np.ndarray:
     N = len(a)
     if not E.size:
         return np.zeros(0, dtype=np.int64)
-    B = min(N // 16, 2**12 // E.size) if blocked else 1
+    B = min(N // 16, ROW_BUDGET // E.size) if blocked else 1
     if B < 8:  # too few blocks to repay passes 1-2
         B = 1
     S = -(-N // B)  # block i holds sites i S .. i S + S - 1; the last may be short
@@ -274,12 +274,16 @@ def holder_fit(E: float, v: Potential, alpha: float, theta: float,
                depth_cap: int = DEPTH_CAP_DEFAULT) -> HolderFit:
     """Fit the scaling exponent of ln w against ln eps on a geometric
     eps ladder; slope ~1/2 is the Hoelder-1/2 signature at gap edges.
-    NoConvergence from the m-functions (``depth_cap``) propagates."""
+    The window needs two distinct positive ends: one eps repeated leaves
+    no slope to fit.  NoConvergence from the m-functions (``depth_cap``)
+    propagates."""
     if points < 4:
         raise ValueError("points must be >= 4")
     lo, hi = min(eps_range), max(eps_range)
     if lo <= 0:
         raise ValueError("eps_range must be positive")
+    if lo == hi:
+        raise ValueError(f"eps_range must have two distinct ends, got {lo} twice")
     eps = np.geomspace(lo, hi, points)
 
     im = np.array([t.M.imag for t in

@@ -10,7 +10,9 @@ eps_k = (4 det P_(k))^{-1/2}, and the bracket
 
     1/C < psi(m+(E + i eps_k)) / (2 eps_k ||P_(k)||) < C,  C = 5+sqrt(24)
 
-ties the half-line m-function to the ladder.
+ties the half-line m-function to the ladder.  The solution norms of the
+bracket and of the det P_(k) oracle come from the one solution walk,
+``cocycle.solution_pair``, which shares no code with the P-ladder.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import LN2, Potential, companion_scan, orbit, solution_norm_sq_batch
+from .cocycle import (LN2, ROW_BUDGET, Potential, companion_scan, herm_eigs, orbit,
+                      solution_norm_sq_batch, solution_pair)
 from .weyl import DEPTH_CAP_DEFAULT, m_plus_lanes, psi, rotate_beta
 
 JL_UPPER = 5.0 + math.sqrt(24.0)
 JL_LOWER = 5.0 - math.sqrt(24.0)
 KKL_UPPER = 2.0 + math.sqrt(3.0)
 KKL_LOWER = 2.0 - math.sqrt(3.0)
-_SITES = 1 << 12  # sites sampled at a time into the ladder's step table (32 KB pieces)
 _SEGMENT = 4096  # with a floor, the ladder's first segment ends at k = 4096
 
 
@@ -50,7 +52,8 @@ class PMatrix:
 
     @property
     def norm(self) -> float:
-        return _herm_eigs(self.entries)[1]
+        (a, b), (_, d) = self.entries.tolist()
+        return herm_eigs(a, b, d)[1]
 
     @property
     def det(self) -> float:
@@ -68,16 +71,6 @@ class PMatrix:
     @property
     def trace(self) -> float:
         return float((self.entries[0, 0] + self.entries[1, 1]).real)
-
-
-def _herm_eigs(m: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues (low, high) of a 2x2 hermitian matrix; no entry is
-    squared, so entries up to ~1e307 do not overflow."""
-    a = float(m[0, 0].real)
-    d = float(m[1, 1].real)
-    half = 0.5 * a + 0.5 * d
-    disc = math.hypot(0.5 * a - 0.5 * d, abs(m[0, 1]))
-    return half - disc, half + disc
 
 
 def _exp(x: float) -> float:
@@ -140,7 +133,7 @@ def _blocked_pass(E: float, v: Potential, alpha: float, x: float, j0: int, J: in
     S = max(1, round(math.sqrt(J)))
     B = -(-J // S)
     steps = np.empty((S, B))  # steps[t, i]: local step i S + t + 1; zero past J
-    per = max(1, _SITES // S)
+    per = max(1, ROW_BUDGET // S)
     for i in range(0, B, per):
         n = min(per, B - i)
         vals = E - v(orbit(x, alpha, j0 + i * S + 1, j0 + min((i + n) * S, J) + 1))
@@ -199,10 +192,11 @@ def _p_entries_upto(E: float, v: Potential, alpha: float, x: float, ks,
     a sum of non-negative terms: no QR and no cancellation, and exact to
     rounding where cond(P) is far past 1/eps_mach.
 
-    The steps, their site energies sampled ``_SITES`` at a time, run as
-    blocks of S ~ sqrt(J) steps (``_blocked_pass``).  A block carries its
-    product Phi, W = sum_t r_t^T r_t over the top rows r_t of its partial
-    products Phi_t, C (the M recurrence from 0) and s = sum_t (C_t)_11.
+    The steps, their site energies sampled ``cocycle.ROW_BUDGET`` at a
+    time, run as blocks of S ~ sqrt(J) steps (``_blocked_pass``).  A
+    block carries its product Phi, W = sum_t r_t^T r_t over the top rows
+    r_t of its partial products Phi_t, C (the M recurrence from 0) and
+    s = sum_t (C_t)_11.
     Phi comes from ``cocycle.companion_scan``; where the scan rescales
     Phi by 2**-g, W, C and s are rescaled by 4**-g, exactly.  A scalar
     fold over the blocks (``_fold``) then applies P += A^T W A,
@@ -271,32 +265,11 @@ def p_matrix(E: float, v: Potential, alpha: float, x: float, k: int) -> PMatrix:
     return PMatrix(k=int(k), entries=m, log_det=logdet, x=float(x), E=float(E))
 
 
-def _beta_norms(betas: np.ndarray, E, v, alpha, x, L) -> tuple[np.ndarray, np.ndarray]:
-    """(||u^beta||_L^2, ||u^{beta+pi/2}||_L^2) over a batch of betas,
-    computed from the defining recurrences (independent of P_(k))."""
-    u0 = -np.sin(betas)
-    u1 = np.cos(betas)
-    s1 = solution_norm_sq_batch(u0, u1, E, v, alpha, x, L)
-    s2 = solution_norm_sq_batch(-u1, u0, E, v, alpha, x, L)  # beta + pi/2
-    return s1, s2
-
-
-def _solution_pair(E: float, v: Potential, alpha: float, x: float, L: int) -> np.ndarray:
-    """u_1 .. u_L of the solutions p and q with (u_0, u_1) = (0, 1) and
-    (-1, 0), as the rows of a (2, L) array: one pass of the recurrence
-    u_{j+1} = (E - v(x + j alpha)) u_j - u_{j-1} over sites sampled once."""
-    u = [(0.0, -1.0), (1.0, 0.0)]  # (p_j, q_j) at j = 0, 1
-    for e in (E - v(orbit(x, alpha, 1, L))).tolist():  # sites 1 .. L-1
-        (p0, q0), (p1, q1) = u[-2:]
-        u.append((e * p1 - p0, e * q1 - q0))
-    return np.array(u[1:]).T
-
-
 def _pair_products(betas: np.ndarray, pq: np.ndarray) -> np.ndarray:
     """||u^beta||^2 * ||u^{beta+pi/2}||^2 over a batch of betas, from the
-    solution pair pq = (p, q) of ``_solution_pair``: u^beta = cos(beta) p
-    + sin(beta) q and u^{beta+pi/2} = cos(beta) q - sin(beta) p, and each
-    norm is a sum of squares of those combined values."""
+    solution pair pq = (p, q) of ``cocycle.solution_pair``: u^beta =
+    cos(beta) p + sin(beta) q and u^{beta+pi/2} = cos(beta) q - sin(beta)
+    p, and each norm is a sum of squares of those combined values."""
     c, s = np.cos(betas), np.sin(betas)
     u = np.array([[c, s], [-s, c]]).transpose(0, 2, 1) @ pq  # (2, len(betas), L)
     return np.prod(np.einsum("...j,...j->...", u, u), axis=0)
@@ -312,10 +285,10 @@ def det_via_beta_scan(E: float, v: Potential, alpha: float, x: float, k: int,
     beta -> ||u^beta||^2.
 
     The L = 2k sites are walked once per call: the recurrence runs for
-    one solution pair p, q (``_solution_pair``), and by linearity every
-    u^beta is cos(beta) p + sin(beta) q.  Each product is then a sum of
-    squares of those combined values over the sites, the grid as one
-    (grid, L) evaluation and each golden-section step as one over L
+    one solution pair p, q (``cocycle.solution_pair``), and by linearity
+    every u^beta is cos(beta) p + sin(beta) q.  Each product is then a
+    sum of squares of those combined values over the sites, the grid as
+    one (grid, L) evaluation and each golden-section step as one over L
     sites.  The quadratic form (cos, sin) G (cos, sin)^T of the Gram
     matrix G of p, q is never formed: that cancellation is what broke
     the QR determinant past cond(P) ~ 1e12.
@@ -329,7 +302,7 @@ def det_via_beta_scan(E: float, v: Potential, alpha: float, x: float, k: int,
         raise ValueError("grid must be >= 8")
     if k < 1:
         raise ValueError("k must be >= 1")
-    pq = _solution_pair(E, v, alpha, x, 2 * k)
+    pq = solution_pair(E, v, alpha, x, 2 * k)
     betas = np.pi * np.arange(grid) / grid
     vals = _pair_products(betas, pq)
     i = int(np.argmin(vals))
@@ -424,7 +397,7 @@ def profile(E: float, v: Potential, alpha: float, theta: float,
     rows = []
     for (k, (p11, p12, p22, logdet)), mp_val in zip(entries.items(), m_vals):
         eps_k = _eps(logdet)
-        big = _herm_eigs(np.array([[p11, p12], [p12, p22]]))[1]
+        big = herm_eigs(p11, p12, p22)[1]
         ps = psi(complex(mp_val))
         rows.append(ProfileRow(
             k=k, norm_P=big, det_P=_exp(logdet), eps_k=eps_k, psi_mplus=ps,
@@ -457,13 +430,17 @@ def jl_bracket_check(E: float, v: Potential, alpha: float, theta: float,
     ||u^beta||_L ||u^{beta+pi/2}||_L = 1/(2 eps), L = 2k.
 
     The scale equation is linear in eps, so eps = 1 / (2 ||u^beta||_L
-    ||u^{beta+pi/2}||_L) directly.  The kkl variant evaluates
-    psi(m+)/(eps ||P_(k)||) at the scale det P_(k) = 1/eps^2.  Both m+
-    values are lanes of one walk (``weyl.m_plus_lanes``).
+    ||u^{beta+pi/2}||_L) directly; both norms come from one
+    ``solution_norm_sq_batch`` call, one walk of the L sites.  The kkl
+    variant evaluates psi(m+)/(eps ||P_(k)||) at the scale
+    det P_(k) = 1/eps^2.  Both m+ values are lanes of one walk
+    (``weyl.m_plus_lanes``).
     """
-    L = 2 * k
-    s1, s2 = _beta_norms(np.array([beta]), E, v, alpha, theta, L)
-    X = math.sqrt(float((s1 * s2)[0]))  # ||u^b||_L * ||u^{b+pi/2}||_L
+    s, c = math.sin(beta), math.cos(beta)
+    # ||u^b||_L^2 and ||u^{b+pi/2}||_L^2, the boundary pairs of b and b + pi/2
+    s1, s2 = solution_norm_sq_batch(np.array([-s, -c]), np.array([c, -s]), E, v, alpha,
+                                    theta, 2 * k).tolist()
+    X = math.sqrt(s1 * s2)  # ||u^b||_L * ||u^{b+pi/2}||_L
     eps = 0.5 / X
     scale_residual = abs(2.0 * eps * X - 1.0)
 
@@ -472,7 +449,7 @@ def jl_bracket_check(E: float, v: Potential, alpha: float, theta: float,
     (mp_val, mp2), _, _ = m_plus_lanes([complex(E, eps), complex(E, kkl_eps)], v, alpha,
                                        theta, tol)
 
-    nb, nbp = math.sqrt(float(s1[0])), math.sqrt(float(s2[0]))
+    nb, nbp = math.sqrt(s1), math.sqrt(s2)
     value = abs(rotate_beta(complex(mp_val), beta)) * nb / nbp
     in_bracket = JL_LOWER * (1 - slack) < value < JL_UPPER * (1 + slack)
 

@@ -40,11 +40,11 @@ sampled once for all live lanes and run as one companion-step scan over
 lanes x sub-blocks, fed one step at a time through a single (lanes,
 sub-blocks) buffer, so no table of all steps is built; the sub-block
 totals are then folded pairwise.  A chunk of the scan is the largest
-power of two of sub-blocks with at most 4096 values per step over all
-lanes and at most 1024 sub-blocks, so walks of up to four lanes scan
-rows of 1024 sub-blocks.  All rescaling
-is by powers of two, which is exact, so a lane's value does not depend
-on the other lanes or on how the block is cut into chunks, and the
+power of two of sub-blocks with at most ``cocycle.ROW_BUDGET`` (4096)
+values per step over all lanes and at most 1024 sub-blocks, so walks of
+up to four lanes scan rows of 1024 sub-blocks.  All rescaling is by
+powers of two, which is exact, so a lane's value does not depend on the
+other lanes or on how the block is cut into chunks, and the
 rescaling interval of the scan, set once per walk from max |z| and the
 coefficient bound on |v|, shrinks where |z - v| is large enough to
 overflow it.  Since the doubling schedule is itself a balanced tree
@@ -75,11 +75,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (RESCALE_EVERY, Potential, block_totals, normalize_stack, orbit,
-                      site_rows, stack_mul)
+from .cocycle import (RESCALE_EVERY, ROW_BUDGET as _ROW, Potential, block_totals,
+                      normalize_stack, orbit, site_rows, stack_mul)
 
 DEPTH_CAP_DEFAULT = 10**7
-_ROW = 1 << 12  # lane x sub-block values per scan step: one 64 KB buffer of step values
 _SUB = 1 << 10  # sub-blocks per chunk at most: wider few-lane rows raised peak RSS
 _FIRST = 1024  # the first walk's reach at most
 
@@ -195,10 +194,10 @@ def _block_products(zs, v, theta, alpha, every: int, lo: int, hi: int):
     at site n) turned by t alpha.  ``_fold`` then multiplies the
     sub-block totals out.  A chunk is the largest power of two of
     sub-blocks, aligned at ``lo``, with at most ``_ROW`` values per step
-    over all lanes and at most ``_SUB`` sub-blocks; by alignment each
-    chunk's fold is a node of the fold over the whole block, and a lane's
-    products depend neither on how many lanes walk with it nor on
-    ``_ROW`` or ``_SUB``.
+    over all lanes (``cocycle.ROW_BUDGET``, read under that name) and at
+    most ``_SUB`` sub-blocks; by alignment each chunk's fold is a node of
+    the fold over the whole block, and a lane's products depend neither
+    on how many lanes walk with it nor on ``_ROW`` or ``_SUB``.
     """
     S = min(RESCALE_EVERY, max(8, (hi - lo) >> 7))
     full, rem = divmod(hi - lo, S)

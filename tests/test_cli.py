@@ -386,6 +386,14 @@ class TestExitCodes:
         rc = main(["tx-oracle", "--k", "0", "--out", str(tmp_path / "tx.csv")])
         assert rc == 2
 
+    def test_zero_width_holder_window_is_2(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        rc = main(["holder", "--e", "0.0", "--eps-min", "1e-3", "--eps-max", "1e-3",
+                   "--points", "8", "--out", str(out)])
+        assert rc == 2
+        assert "two distinct ends" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     def test_byte_identical_repeat(self, tmp_path):

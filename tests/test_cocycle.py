@@ -11,11 +11,13 @@ from quasispec.cocycle import (
     adjugate,
     block_starts,
     growth_profile,
+    herm_eigs,
     iterate,
     lyapunov,
     normalize_stack,
     orbit,
     site_rows,
+    strip_majorant,
 )
 from quasispec.conjugation import BandFunction
 
@@ -59,7 +61,30 @@ class TestPotential:
     def test_strip_evaluation(self):
         v = Potential.amo(0.5)
         z = v(0.1 + 0.02j)
-        assert abs(z) <= v.sup_bound(0.02) + 1e-12
+        assert abs(z) <= strip_majorant(list(v.coeffs), list(v.coeffs.values()), 0.02) + 1e-12
+
+class TestHermEigs:
+    def test_matches_eigvalsh(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            a, d, re, im = rng.normal(size=4) * 10.0 ** rng.uniform(-4, 4, 4)
+            b = complex(re, im)
+            ref = np.linalg.eigvalsh(np.array([[a, b], [b.conjugate(), d]]))
+            got = herm_eigs(a, b, d)
+            assert got[0] <= got[1]
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-14 * np.abs(ref).max()
+
+    def test_entries_near_1e200(self):
+        # no entry is squared: eigenvalues of order 1e200 stay finite
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            a, d, re, im = rng.normal(size=4)
+            b = complex(re, im)
+            got = herm_eigs(1e200 * a, 1e200 * b, 1e200 * d)
+            assert all(map(math.isfinite, got))
+            ref = 1e200 * np.linalg.eigvalsh(np.array([[a, b], [b.conjugate(), d]]))
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-14 * np.abs(ref).max()
+
 
 class TestStackToolkit:
     def test_adjugate_inverts_det_one(self):

@@ -14,7 +14,6 @@ from quasispec.conjugation import (
     mat_exp_grid,
     mat_log_grid,
     perturbed_schrodinger,
-    schrodinger_matfunction,
     schrodinger_reduction,
     tx_asymptotics_check,
     tx_bruteforce,
@@ -22,6 +21,15 @@ from quasispec.conjugation import (
 )
 
 ALPHA = resolve_alpha("golden", 40).alpha
+
+
+def schrodinger_matfunction(p, band):
+    """The cocycle map [[p(x), -1], [1, 0]] as a MatFunction: the
+    reduction's input when it is already in Schrodinger form."""
+    return MatFunction((
+        (BandFunction(dict(p.coeffs), band), BandFunction.constant(-1.0, band)),
+        (BandFunction.constant(1.0, band), BandFunction.constant(0.0, band)),
+    ), band)
 
 
 def random_tc(rng, k_max=500):
@@ -42,6 +50,17 @@ class TestTriangularOracle:
             assert abs(a.x2 - b.x2) / scale < 1e-9
             assert abs(a.detX - b.detX) / scale < 1e-9
             assert abs(a.normX - b.normX) / max(1.0, b.normX) < 1e-9
+
+    def test_huge_t_hat(self):
+        # |k - x2| ~ 1e155 here, so its square overflows; the eigenvalues of
+        # X come from the hypot form, which squares no entry
+        tc = TriangularCocycle(theta=0.11, alpha=ALPHA, r=3, t_hat=1e77 + 0j, k=20)
+        a, b = tx_closed_form(tc, 0.2), tx_bruteforce(tc, 0.2)
+        assert all(map(np.isfinite, (a.x1, a.x2, a.detX, a.normX, a.invnormX)))
+        scale = max(1.0, abs(b.detX))
+        assert abs(a.x1 - b.x1) / scale < 1e-9
+        assert abs(a.detX - b.detX) / scale < 1e-9
+        assert abs(a.normX - b.normX) / max(1.0, b.normX) < 1e-9
 
     def test_k1_det_exact(self):
         rng = np.random.default_rng(8)

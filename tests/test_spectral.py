@@ -385,6 +385,11 @@ class TestHolderFit:
         with pytest.raises(ValueError, match="eps_range must be positive"):
             holder_fit(0.0, FREE, ALPHA, 0.0, (0.0, 1e-1), 8)
 
+    def test_zero_width_window_has_no_slope(self):
+        # one eps repeated points times: a rank-deficient fit, no exponent
+        with pytest.raises(ValueError, match="two distinct ends"):
+            holder_fit(0.0, AMO, ALPHA, 0.0, (1e-3, 1e-3), 8)
+
     def test_each_point_is_its_own_m_triple(self):
         # the eps ladder runs as lanes of one m+ and one m- walk, and each
         # Im M is that of m_triple at its own eps, bit for bit

@@ -7,7 +7,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from quasispec import subordinacy, weyl
 from quasispec.arithmetic import resolve_alpha
-from quasispec.cocycle import Potential, orbit, solution_norm_sq_batch
+from quasispec.cocycle import Potential, orbit, solution_norm_sq_batch, solution_pair
 from quasispec.subordinacy import (
     JL_LOWER,
     JL_UPPER,
@@ -15,7 +15,6 @@ from quasispec.subordinacy import (
     KKL_UPPER,
     _p_entries_upto,
     _pair_products,
-    _solution_pair,
     default_k_list,
     det_via_beta_scan,
     jl_bracket_check,
@@ -39,6 +38,30 @@ def solution_values(beta, E, v, alpha, x, L):
     for j, e in enumerate(E - v(orbit(x, alpha, 1, L)), start=1):  # sites 1 .. L-1
         u[j + 1] = e * u[j] - u[j - 1]
     return u
+
+
+class TestSolutionWalk:
+    @pytest.mark.parametrize("E", [0.0, 0.7])
+    def test_norms_are_the_step_recurrence(self, E):
+        # u = u_1 p - u_0 q from one walk, against each boundary pair's own
+        # step loop, within 1e-12 relative (these cases: 3.2e-15 at E = 0,
+        # 8.5e-15 at the gap energy 0.7).  At E = 0.7 the solutions grow,
+        # and a pair near the decaying one loses digits in both walks: over
+        # 10,000 random (beta, L <= 400, x) the median was 1.3e-15 and the
+        # worst 1.3e-10 there, against 7.8e-15 at E = 0
+        rng = np.random.default_rng(17)
+        betas = rng.uniform(0.0, math.pi, 8)
+        u0 = np.array([-math.sin(b) for b in betas])
+        u1 = np.array([math.cos(b) for b in betas])
+        for L in (1, 2, 37, 256, 400):
+            x = rng.uniform()
+            got = solution_norm_sq_batch(u0, u1, E, AMO, ALPHA, x, L)
+            ref = [np.sum(solution_values(b, E, AMO, ALPHA, x, L)[1:] ** 2) for b in betas]
+            assert np.max(np.abs(got / ref - 1.0)) < 1e-12
+            # each pair's norm is its own one-pair call, bit for bit
+            for i in (0, 5):
+                one = solution_norm_sq_batch(u0[i:i + 1], u1[i:i + 1], E, AMO, ALPHA, x, L)
+                assert one[0] == got[i]
 
 
 class TestPMatrix:
@@ -191,7 +214,7 @@ class TestDetBetaScan:
         _, beta_min = det_via_beta_scan(E, AMO, ALPHA, x, k, full_output=True)
         h = 1e-5
         # each factor of the product is critical at the eigen-directions
-        pq = _solution_pair(E, AMO, ALPHA, x, 2 * k)
+        pq = solution_pair(E, AMO, ALPHA, x, 2 * k)
         s = lambda b: float(_pair_products(np.array([b]), pq)[0])
         dq = (s(beta_min + h) - s(beta_min - h)) / (2 * h)
         assert abs(dq) / s(beta_min) < 1e-4
@@ -214,10 +237,12 @@ class TestDetBetaScan:
         pm = p_matrix(E, AMO, ALPHA, x, k)
         assert pm.norm / pm.smallest_eig < 1e8
         betas = np.pi * np.arange(64) / 64
-        s, c = np.sin(betas), np.cos(betas)
-        ref = (solution_norm_sq_batch(-s, c, E, AMO, ALPHA, x, 2 * k)
-               * solution_norm_sq_batch(-c, -s, E, AMO, ALPHA, x, 2 * k))
-        got = _pair_products(betas, _solution_pair(E, AMO, ALPHA, x, 2 * k))
+
+        def norm_sq(beta):
+            return np.sum(solution_values(beta, E, AMO, ALPHA, x, 2 * k)[1:] ** 2)
+
+        ref = np.array([norm_sq(b) * norm_sq(b + math.pi / 2) for b in betas])
+        got = _pair_products(betas, solution_pair(E, AMO, ALPHA, x, 2 * k))
         assert np.max(np.abs(got / ref - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
@@ -373,9 +398,10 @@ class TestBracketCheck:
             assert rec.scale_residual < 1e-8
             assert rec.in_bracket and rec.kkl_in_bracket
 
-    def test_two_solution_passes(self, monkeypatch):
+    def test_one_solution_walk(self, monkeypatch):
         # the scale equation's two norms are the bracket's numerator and
-        # denominator, so one call runs the two solution recurrences once
+        # denominator, so one call carries both boundary pairs, beta and
+        # beta + pi/2, and walks the sites once
         calls = []
 
         def counted(*args):
@@ -385,10 +411,11 @@ class TestBracketCheck:
         monkeypatch.setattr(subordinacy, "solution_norm_sq_batch", counted)
         E, theta, beta, k = 0.0, 0.37, 1.1, 30
         rec = jl_bracket_check(E, AMO, ALPHA, theta, beta, k, tol=1e-9)
-        assert len(calls) == 2
-        # each norm from its own pass with the boundary pair from math.sin
-        # and math.cos, as the bracket defines it: the same bits
+        assert len(calls) == 1
         u0, u1 = -math.sin(beta), math.cos(beta)
+        assert calls[0][0].tolist() == [u0, -u1] and calls[0][1].tolist() == [u1, u0]
+        # each norm from its own one-pair call with the boundary pair from
+        # math.sin and math.cos, as the bracket defines it: the same bits
         nb = math.sqrt(float(solution_norm_sq_batch(
             np.array([u0]), np.array([u1]), E, AMO, ALPHA, theta, 2 * k)[0]))
         nbp = math.sqrt(float(solution_norm_sq_batch(
